@@ -403,60 +403,6 @@ func BenchmarkWireEncodeData(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotEncodeGob / BenchmarkWireDecodeGob /
-// BenchmarkWireEncodeDataGob are the legacy-codec baselines for the
-// binary benchmarks above and below; the binary codec must beat them.
-func BenchmarkSnapshotEncodeGob(b *testing.B) {
-	v, err := knowledge.NewView(0, 100, []topology.NodeID{1, 2, 3, 4}, nil, knowledge.Params{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	v.BeginPeriod()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame, err := wire.EncodeGob(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: v.Snapshot()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(frame) == 0 {
-			b.Fatal("empty frame")
-		}
-	}
-}
-
-func BenchmarkWireDecodeGob(b *testing.B) {
-	v, err := knowledge.NewView(0, 100, []topology.NodeID{1, 2, 3, 4}, nil, knowledge.Params{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	v.BeginPeriod()
-	frame, err := wire.EncodeGob(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: v.Snapshot()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(frame)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := wire.DecodeGob(frame); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWireEncodeDataGob(b *testing.B) {
-	msg := benchDataMsg(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame, err := wire.EncodeGob(&wire.Frame{Kind: wire.FrameData, Data: msg})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(frame) == 0 {
-			b.Fatal("empty frame")
-		}
-	}
-}
-
 // benchConvergedCluster builds an n-node random cluster over the
 // in-process fabric and ticks it until node 0's view spans the topology
 // and plans a real MRT (no warm-up flood). It is the fixture for the
@@ -693,71 +639,6 @@ func BenchmarkHeartbeatSteadyState(b *testing.B) {
 			b.StopTimer()
 			spent := n0.Stats().HeartbeatBytesSent - start
 			b.ReportMetric(float64(spent)/float64(b.N), "hb-bytes/period")
-		})
-	}
-}
-
-// BenchmarkHeartbeatQuantized measures the wire v4 win on the live send
-// path: the same converged two-node system as HeartbeatSteadyState, but
-// with the quantized belief profile negotiated on both sides. The
-// in-benchmark assertions pin the acceptance numbers — full-snapshot
-// heartbeats at least 1.7x smaller than the raw profile, delta
-// heartbeats no worse (converged deltas are near-empty either way, so
-// there is nothing left for quantization to shrink).
-func BenchmarkHeartbeatQuantized(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"delta", false}, {"full", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			mkPair := func(quantized bool) (*node.Node, *node.Node) {
-				trA, trB := loopPair()
-				mk := func(id topology.NodeID, tr transport.Transport) *node.Node {
-					nd, err := node.New(node.Config{
-						ID:                     id,
-						NumProcs:               2,
-						Neighbors:              []topology.NodeID{1 - id},
-						DisableDeltaHeartbeats: mode.disable,
-						QuantizedBeliefs:       quantized,
-					}, tr)
-					if err != nil {
-						b.Fatal(err)
-					}
-					return nd
-				}
-				n0, n1 := mk(0, trA), mk(1, trB)
-				for i := 0; i < 300; i++ { // converge estimates and negotiation
-					tickPair(n0, n1)
-				}
-				return n0, n1
-			}
-
-			// Untimed raw-profile baseline over a fixed window.
-			r0, r1 := mkPair(false)
-			rawStart := r0.Stats().HeartbeatBytesSent
-			const rawWindow = 400
-			for i := 0; i < rawWindow; i++ {
-				tickPair(r0, r1)
-			}
-			rawPer := float64(r0.Stats().HeartbeatBytesSent-rawStart) / rawWindow
-
-			n0, n1 := mkPair(true)
-			start := n0.Stats().HeartbeatBytesSent
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tickPair(n0, n1)
-			}
-			b.StopTimer()
-			quantPer := float64(n0.Stats().HeartbeatBytesSent-start) / float64(b.N)
-			b.ReportMetric(quantPer, "hb-bytes/period")
-			b.ReportMetric(rawPer/quantPer, "v3-to-v4-ratio")
-			if mode.name == "full" && rawPer/quantPer < 1.7 {
-				b.Errorf("quantized full heartbeats are only %.2fx smaller than raw (%.1fB vs %.1fB), want >= 1.7x",
-					rawPer/quantPer, quantPer, rawPer)
-			}
-			if mode.name == "delta" && quantPer > rawPer*1.05 {
-				b.Errorf("quantized delta heartbeats regressed: %.1fB/period vs %.1fB raw", quantPer, rawPer)
-			}
 		})
 	}
 }

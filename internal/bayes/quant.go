@@ -2,12 +2,12 @@ package bayes
 
 import "math"
 
-// Fixed-point quantization for the wire v4 belief profile.
+// Fixed-point quantization for the wire format's belief layouts.
 //
 // A posterior's useful precision is ~1e-3 (interval width 1/U with
-// U ≈ 100), yet the wire ships every log belief and refined midpoint as
-// a full float64. The v4 profile replaces both with uint16 fixed-point
-// codes scaled to the value's actual support:
+// U ≈ 100), yet a float64 per log belief and refined midpoint would
+// spend 8 bytes on each. The quantized layouts replace both with uint16
+// fixed-point codes scaled to the value's actual support:
 //
 //   - Log beliefs are non-positive and, after the estimator's running
 //     rebase, the maximum is 0. Mass below e^BeliefFloor is statistically
@@ -23,10 +23,10 @@ import "math"
 // posterior mean moves by well under 1e-3 (pinned by TestQuantErrorBound
 // in internal/wire). Quantization is a projection: quantizing an
 // already-dequantized state reproduces it bit-exactly, so estimates that
-// hop across several v4 links do not drift further than the first hop.
+// hop across several links do not drift further than the first hop.
 
 const (
-	// BeliefFloor is the most negative log belief the quantized profile
+	// BeliefFloor is the most negative log belief the quantized layouts
 	// can represent. e^-64 ≈ 1.6e-28 of posterior mass — far below any
 	// weight that could influence a mean at the wire's precision — so
 	// clamping to it loses nothing observable, while bounding the
@@ -54,31 +54,47 @@ func BeliefQuantScale(logBeliefs []float64) float64 {
 	return scale
 }
 
-// QuantizeBelief maps one log belief to its fixed-point code for the
-// given scale. Values below scale clamp to it (the BeliefFloor cut);
-// values above 0 clamp to 0 (rebase tolerance).
-func QuantizeBelief(lb, scale float64) uint16 {
+// BeliefQuant is the fixed-point mapping of one log-belief block: codes
+// 0..65535 over [scale, 0]. It is built once per block, so converting a
+// belief costs one multiply instead of a division.
+type BeliefQuant struct {
+	scale   float64
+	toCode  float64 // quantSteps / scale; 0 for the all-zero block
+	perCode float64 // scale / quantSteps
+}
+
+// NewBeliefQuant builds the mapping for a block whose shared scale (see
+// BeliefQuantScale) is scale.
+func NewBeliefQuant(scale float64) BeliefQuant {
 	if scale == 0 {
-		return 0
+		return BeliefQuant{} // fresh estimator: every belief is code 0, value 0
 	}
-	if lb < scale {
-		lb = scale
+	return BeliefQuant{scale: scale, toCode: quantSteps / scale, perCode: scale / quantSteps}
+}
+
+// Code maps one log belief to its fixed-point code, rounding to the
+// nearest step. Values below scale — and NaN — clamp to scale (the
+// BeliefFloor cut); values above 0 clamp to 0 (rebase tolerance).
+func (q BeliefQuant) Code(lb float64) uint16 {
+	if !(lb > q.scale) {
+		lb = q.scale
 	}
 	if lb > 0 {
 		lb = 0
 	}
-	return uint16(math.Round(lb / scale * quantSteps))
+	return uint16(lb*q.toCode + 0.5)
 }
 
-// DequantizeBelief is the inverse of QuantizeBelief. The minimum belief
-// of a block always carries code 65535 (or the block is all-zero), so
-// BeliefQuantScale of the dequantized block reproduces scale exactly and
-// quantization is idempotent across hops.
-func DequantizeBelief(q uint16, scale float64) float64 {
-	if scale == 0 {
-		return 0
+// Belief is the inverse of Code. The minimum belief of a block always
+// carries code 65535 (or the block is all-zero), and that code maps back
+// to scale itself — a computed scale/65535*65535 is not always bit-exact
+// in floating point — so BeliefQuantScale of the decoded block
+// reproduces scale exactly and quantization is idempotent across hops.
+func (q BeliefQuant) Belief(c uint16) float64 {
+	if c == quantSteps {
+		return q.scale
 	}
-	return scale * float64(q) / quantSteps
+	return float64(c) * q.perCode
 }
 
 // QuantizeMid maps a refined-grid midpoint to its fixed-point code over

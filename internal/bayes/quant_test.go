@@ -23,29 +23,33 @@ func TestBeliefQuantScale(t *testing.T) {
 
 func TestQuantizeBeliefBounds(t *testing.T) {
 	const scale = -10.0
-	if q := QuantizeBelief(0, scale); q != 0 {
+	if q := NewBeliefQuant(scale).Code(0); q != 0 {
 		t.Errorf("log belief 0 -> code %d, want 0", q)
 	}
-	if q := QuantizeBelief(scale, scale); q != quantSteps {
+	if q := NewBeliefQuant(scale).Code(scale); q != quantSteps {
 		t.Errorf("block minimum -> code %d, want %d", q, quantSteps)
 	}
 	// Clamps: below scale and above zero both stay in range.
-	if q := QuantizeBelief(-1e6, scale); q != quantSteps {
+	if q := NewBeliefQuant(scale).Code(-1e6); q != quantSteps {
 		t.Errorf("below-scale belief -> code %d, want clamp to %d", q, quantSteps)
 	}
-	if q := QuantizeBelief(0.5, scale); q != 0 {
+	if q := NewBeliefQuant(scale).Code(0.5); q != 0 {
 		t.Errorf("positive belief -> code %d, want clamp to 0", q)
 	}
+	// NaN clamps like a below-scale belief.
+	if q := NewBeliefQuant(scale).Code(math.NaN()); q != quantSteps {
+		t.Errorf("NaN belief -> code %d, want clamp to %d", q, quantSteps)
+	}
 	// Zero scale (fresh estimator): everything is code 0, value 0.
-	if q := QuantizeBelief(-3, 0); q != 0 {
+	if q := NewBeliefQuant(0).Code(-3); q != 0 {
 		t.Errorf("zero-scale quantize -> %d, want 0", q)
 	}
-	if v := DequantizeBelief(quantSteps, 0); v != 0 {
+	if v := NewBeliefQuant(0).Belief(quantSteps); v != 0 {
 		t.Errorf("zero-scale dequantize -> %v, want 0", v)
 	}
 }
 
-// TestBeliefQuantStepBound pins the error budget the wire profile is
+// TestBeliefQuantStepBound pins the error budget the wire format is
 // built on: one quantization step is at most |BeliefFloor|/65535 in log
 // space, and a belief round-trip never moves more than half a step.
 func TestBeliefQuantStepBound(t *testing.T) {
@@ -54,7 +58,8 @@ func TestBeliefQuantStepBound(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		scale := -rng.Float64() * -BeliefFloor
 		lb := scale * rng.Float64()
-		got := DequantizeBelief(QuantizeBelief(lb, scale), scale)
+		bq := NewBeliefQuant(scale)
+		got := bq.Belief(bq.Code(lb))
 		if err := math.Abs(got - lb); err > maxStep/2+1e-12 {
 			t.Fatalf("round-trip error %v exceeds half-step %v (lb=%v scale=%v)", err, maxStep/2, lb, scale)
 		}
@@ -63,7 +68,7 @@ func TestBeliefQuantStepBound(t *testing.T) {
 
 // TestBeliefQuantProjection pins the multi-hop stability property:
 // quantizing an already-dequantized block reproduces the exact codes and
-// the exact scale, so an estimate that crosses several v4 links carries
+// the exact scale, so an estimate that crosses several links carries
 // only the first hop's quantization error.
 func TestBeliefQuantProjection(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -76,18 +81,20 @@ func TestBeliefQuantProjection(t *testing.T) {
 		block[rng.Intn(n)] = 0 // rebased maximum
 		scale := BeliefQuantScale(block)
 
+		bq := NewBeliefQuant(scale)
 		codes := make([]uint16, n)
 		decoded := make([]float64, n)
 		for i, lb := range block {
-			codes[i] = QuantizeBelief(lb, scale)
-			decoded[i] = DequantizeBelief(codes[i], scale)
+			codes[i] = bq.Code(lb)
+			decoded[i] = bq.Belief(codes[i])
 		}
 		scale2 := BeliefQuantScale(decoded)
 		if scale2 != scale {
 			t.Fatalf("trial %d: dequantized block re-derives scale %v, want %v", trial, scale2, scale)
 		}
+		bq2 := NewBeliefQuant(scale2)
 		for i, d := range decoded {
-			if q2 := QuantizeBelief(d, scale2); q2 != codes[i] {
+			if q2 := bq2.Code(d); q2 != codes[i] {
 				t.Fatalf("trial %d: code %d re-quantizes to %d (value %v)", trial, codes[i], q2, d)
 			}
 		}
@@ -121,5 +128,16 @@ func TestQuantizeMidRoundTrip(t *testing.T) {
 	}
 	if q := QuantizeMid(0.5, 0.5, 0.5); q != 0 {
 		t.Errorf("collapsed span -> code %d, want 0", q)
+	}
+}
+
+// TestDequantizeScaleExact pins the projection's anchor: the minimum code
+// maps back to the shipped scale bit-exactly, including for scales where
+// scale*65535/65535 rounds away from scale in floating point.
+func TestDequantizeScaleExact(t *testing.T) {
+	for _, scale := range []float64{-1.9288387873166357, -0.00033723358308357376, BeliefFloor, -1} {
+		if got := NewBeliefQuant(scale).Belief(quantSteps); got != scale {
+			t.Errorf("scale %v: code %d decodes to %v, want the scale itself", scale, quantSteps, got)
+		}
 	}
 }

@@ -190,7 +190,7 @@ func TestAdaptiveCadenceEstimateParity(t *testing.T) {
 
 // TestAdaptiveCadenceMixedCluster checks one-sided deployment: only some
 // nodes stretching must not corrupt anyone's accounting — fixed-cadence
-// peers decode the v2 frames, scale their expectations, and nobody is
+// peers decode the stretched frames, scale their expectations, and nobody is
 // falsely suspected or mis-measured.
 func TestAdaptiveCadenceMixedCluster(t *testing.T) {
 	g, err := topology.Ring(6)

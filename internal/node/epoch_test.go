@@ -184,6 +184,10 @@ func TestStaleEpochFramesFencedAndRepaired(t *testing.T) {
 	if nodes[0].Epoch() != 2 {
 		t.Fatalf("node 0 at epoch %d, want 2", nodes[0].Epoch())
 	}
+	// Skip node 0's redundant re-flood rounds: racing node 1's next tick,
+	// they would often catch node 1 up before it sent a stale frame,
+	// leaving the repair loop under test unexercised.
+	nodes[0].announceLeft.Store(0)
 
 	// Node 1 still heartbeats at epoch 0: node 0 must fence those frames
 	// and the repair loop must pull node 1 (and transitively node 2) to
@@ -196,6 +200,50 @@ func TestStaleEpochFramesFencedAndRepaired(t *testing.T) {
 		if got := nd.Epoch(); got != 2 {
 			t.Errorf("node %d stuck at epoch %d, want 2 (re-announcement repair broken)", i, got)
 		}
+	}
+}
+
+// TestStaleEpochFullHeartbeatFenced pins the epoch gate on full-snapshot
+// heartbeats (DisableDeltaHeartbeats in a dynamic cluster): a node at
+// epoch 2 must drop a full heartbeat from a peer still at epoch 1 —
+// without merging it — count it as a stale-epoch frame, and re-announce
+// the change that peer missed, so the peer catches up.
+func TestStaleEpochFullHeartbeatFenced(t *testing.T) {
+	g, err := topology.Line(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabric := transport.NewFabric(transport.FabricOptions{})
+	defer func() { _ = fabric.Close() }()
+	nodes := buildCluster(t, g, fabric, func(int) Config {
+		return Config{DisableDeltaHeartbeats: true}
+	})
+	settleTicks(nodes, 5)
+
+	// Both nodes adopt epoch 1; only node 0 learns of epoch 2.
+	m1 := &wire.Membership{Node: 2, Epoch: 1, NumProcs: 3}
+	m2 := &wire.Membership{Node: 3, Epoch: 2, NumProcs: 4}
+	if !nodes[0].applyMembership(wire.FrameJoin, m1) || !nodes[1].applyMembership(wire.FrameJoin, m1) ||
+		!nodes[0].applyMembership(wire.FrameJoin, m2) {
+		t.Fatal("membership not applied")
+	}
+
+	// Only node 1 ticks: it sends node 0 a full heartbeat at epoch 1.
+	before := nodes[0].Stats()
+	nodes[1].Tick()
+	deadline := time.Now().Add(2 * time.Second)
+	for nodes[1].Epoch() != 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	after := nodes[0].Stats()
+	if got := after.StaleEpochFrames - before.StaleEpochFrames; got != 1 {
+		t.Errorf("node 0 counted %d stale-epoch frames, want the 1 stale full heartbeat", got)
+	}
+	if after.HeartbeatsReceived != before.HeartbeatsReceived || after.SnapshotMergeErrors != before.SnapshotMergeErrors {
+		t.Error("node 0 merged a full heartbeat from a stale epoch")
+	}
+	if got := nodes[1].Epoch(); got != 2 {
+		t.Errorf("node 1 stuck at epoch %d, want 2 (no re-announcement to the stale peer)", got)
 	}
 }
 

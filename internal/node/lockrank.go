@@ -41,7 +41,7 @@ package node
 //adaptivelint:lockrank MemStorage.mu=50
 //adaptivelint:noblockingcalls Node.viewMu
 //adaptivelint:blockingpkg adaptivecast/internal/transport adaptivecast/internal/lanes
-//adaptivelint:epochfence kinds=FrameData,FrameKnowledgeDelta gate=epochGate
+//adaptivelint:epochfence kinds=FrameHeartbeat,FrameData,FrameKnowledgeDelta gate=epochGate
 //adaptivelint:goroutines checked
 //adaptivelint:bufpool type=encodePool get=get put=put releaser=releaser
 //adaptivelint:bufshared type=sharedRelease acquire=acquire

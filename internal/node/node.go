@@ -59,26 +59,21 @@ type Stats struct {
 	HeartbeatsReceived  int
 	DeltaHeartbeatsSent int // heartbeats that shipped as knowledge deltas (subset of HeartbeatsSent)
 	HeartbeatBytesSent  int // encoded heartbeat bytes handed to the transport
-	// QuantizedHeartbeatsSent counts heartbeats (full or delta) that
-	// shipped estimates in the wire v4 quantized belief profile — sent
-	// only toward peers that advertised the capability, plus the bounded
-	// capability hellos (subset of HeartbeatsSent).
-	QuantizedHeartbeatsSent int
-	DataSent                int
-	DataReceived            int
-	Delivered               int // deliveries actually enqueued for the application
-	DroppedDeliveries       int // deliveries discarded because the channel was full
-	SuppressedReplays       int // redeliveries filtered by the durable dedup log
-	FallbackFloods          int // broadcasts flooded for lack of a connected view
-	DecodeErrors            int // frames that failed wire decoding
-	SnapshotMergeErrors     int // well-formed frames whose knowledge snapshot the view rejected
-	LogErrors               int // durable-write failures: dedup log records and seq-lease extensions
-	PlanCacheHits           int // broadcasts that reused the cached (tree, allocation) plan
-	PlanCacheMisses         int // broadcasts that had to replan because the view changed
-	ForwardCacheHits        int // received data frames whose tree came from the forwarder cache
-	ForwardCacheMisses      int // received data frames that had to rebuild their tree
-	StaleEpochFrames        int // frames fenced off because they carried an older membership epoch
-	EpochChanges            int // membership epoch adoptions (joins/leaves applied, catch-ups included)
+	DataSent            int
+	DataReceived        int
+	Delivered           int // deliveries actually enqueued for the application
+	DroppedDeliveries   int // deliveries discarded because the channel was full
+	SuppressedReplays   int // redeliveries filtered by the durable dedup log
+	FallbackFloods      int // broadcasts flooded for lack of a connected view
+	DecodeErrors        int // frames that failed wire decoding
+	SnapshotMergeErrors int // well-formed frames whose knowledge snapshot the view rejected
+	LogErrors           int // durable-write failures: dedup log records and seq-lease extensions
+	PlanCacheHits       int // broadcasts that reused the cached (tree, allocation) plan
+	PlanCacheMisses     int // broadcasts that had to replan because the view changed
+	ForwardCacheHits    int // received data frames whose tree came from the forwarder cache
+	ForwardCacheMisses  int // received data frames that had to rebuild their tree
+	StaleEpochFrames    int // frames fenced off because they carried an older membership epoch
+	EpochChanges        int // membership epoch adoptions (joins/leaves applied, catch-ups included)
 
 	// Send-path counters (see Config.DisableLaneScheduler and the encode pool).
 	LaneDrops        LaneDrops // outbound frames shed by the lane scheduler, per lane
@@ -103,7 +98,6 @@ type counters struct {
 	heartbeatsSent      atomic.Int64
 	heartbeatsReceived  atomic.Int64
 	deltaHeartbeatsSent atomic.Int64
-	quantHeartbeatsSent atomic.Int64
 	heartbeatBytesSent  atomic.Int64
 	dataSent            atomic.Int64
 	dataReceived        atomic.Int64
@@ -124,26 +118,25 @@ type counters struct {
 
 func (c *counters) snapshot() Stats {
 	return Stats{
-		HeartbeatsSent:          int(c.heartbeatsSent.Load()),
-		HeartbeatsReceived:      int(c.heartbeatsReceived.Load()),
-		DeltaHeartbeatsSent:     int(c.deltaHeartbeatsSent.Load()),
-		QuantizedHeartbeatsSent: int(c.quantHeartbeatsSent.Load()),
-		HeartbeatBytesSent:      int(c.heartbeatBytesSent.Load()),
-		DataSent:                int(c.dataSent.Load()),
-		DataReceived:            int(c.dataReceived.Load()),
-		Delivered:               int(c.delivered.Load()),
-		DroppedDeliveries:       int(c.droppedDeliveries.Load()),
-		SuppressedReplays:       int(c.suppressedReplays.Load()),
-		FallbackFloods:          int(c.fallbackFloods.Load()),
-		DecodeErrors:            int(c.decodeErrors.Load()),
-		SnapshotMergeErrors:     int(c.snapshotMergeErrors.Load()),
-		LogErrors:               int(c.logErrors.Load()),
-		PlanCacheHits:           int(c.planCacheHits.Load()),
-		PlanCacheMisses:         int(c.planCacheMisses.Load()),
-		ForwardCacheHits:        int(c.forwardCacheHits.Load()),
-		ForwardCacheMisses:      int(c.forwardCacheMisses.Load()),
-		StaleEpochFrames:        int(c.staleEpochFrames.Load()),
-		EpochChanges:            int(c.epochChanges.Load()),
+		HeartbeatsSent:      int(c.heartbeatsSent.Load()),
+		HeartbeatsReceived:  int(c.heartbeatsReceived.Load()),
+		DeltaHeartbeatsSent: int(c.deltaHeartbeatsSent.Load()),
+		HeartbeatBytesSent:  int(c.heartbeatBytesSent.Load()),
+		DataSent:            int(c.dataSent.Load()),
+		DataReceived:        int(c.dataReceived.Load()),
+		Delivered:           int(c.delivered.Load()),
+		DroppedDeliveries:   int(c.droppedDeliveries.Load()),
+		SuppressedReplays:   int(c.suppressedReplays.Load()),
+		FallbackFloods:      int(c.fallbackFloods.Load()),
+		DecodeErrors:        int(c.decodeErrors.Load()),
+		SnapshotMergeErrors: int(c.snapshotMergeErrors.Load()),
+		LogErrors:           int(c.logErrors.Load()),
+		PlanCacheHits:       int(c.planCacheHits.Load()),
+		PlanCacheMisses:     int(c.planCacheMisses.Load()),
+		ForwardCacheHits:    int(c.forwardCacheHits.Load()),
+		ForwardCacheMisses:  int(c.forwardCacheMisses.Load()),
+		StaleEpochFrames:    int(c.staleEpochFrames.Load()),
+		EpochChanges:        int(c.epochChanges.Load()),
 	}
 }
 
@@ -212,27 +205,13 @@ type Config struct {
 	// (the pre-cache behavior; useful for benchmarks and debugging).
 	DisablePlanCache bool
 	// DisableDeltaHeartbeats makes every heartbeat ship the full knowledge
-	// snapshot as a legacy FrameHeartbeat, instead of the default
-	// per-neighbor knowledge deltas (records changed since the version the
-	// neighbor last acked, with a full-snapshot fallback while the
-	// neighbor's acked version is unknown or predates this incarnation).
-	// Deltas shrink steady-state heartbeat bandwidth by the convergence
-	// factor; disabling them is for benchmarks and for mixed clusters
-	// whose peers predate the delta frame kind.
+	// snapshot as a FrameHeartbeat, instead of the default per-neighbor
+	// knowledge deltas (records changed since the version the neighbor
+	// last acked, with a full-snapshot fallback while the neighbor's
+	// acked version is unknown or predates this incarnation). Deltas
+	// shrink steady-state heartbeat bandwidth by the convergence factor;
+	// disabling them is for benchmarks.
 	DisableDeltaHeartbeats bool
-	// QuantizedBeliefs opts the node into the wire v4 quantized belief
-	// profile: estimator beliefs and refined-grid midpoints ship as uint16
-	// fixed-point codes over shared scales instead of float64s (roughly a
-	// 3.8x estimator-body shrink at the paper's U=100, within 1e-3 of the
-	// float estimates). The profile is negotiated per peer: a Caps varint
-	// rides the first frame toward each neighbor (repeated with geometric
-	// backoff while the neighbor has not advertised back), each side
-	// records the highest mutually supported version per neighbor, and
-	// quantized frames flow only toward peers that advertised v4
-	// themselves — frames toward everyone else stay byte-identical to
-	// wire v3. Off (the default) the node never advertises and every
-	// frame stays on the raw float profile.
-	QuantizedBeliefs bool
 	// ForwardCacheSize bounds the forwarder tree cache: received data
 	// frames carrying the same (root, parents) tree reuse one rebuilt
 	// mrt.Tree instead of re-deriving it per frame. 0 means the default
@@ -249,8 +228,7 @@ type Config struct {
 	// suspicion timeout and sequence-gap loss accounting instead of
 	// falsely suspecting (or under-counting) a quiet-by-design neighbor.
 	// Values <= 1 disable stretching (the default); adaptive cadence
-	// requires delta heartbeats and all peers to understand wire
-	// version 2 frames.
+	// requires delta heartbeats.
 	AdaptiveCadenceMax int
 	// DisableLaneScheduler turns off the per-peer prioritized lane
 	// scheduler (control > data > telemetry) and reverts every send to a
@@ -333,154 +311,21 @@ const announceRounds = 3
 // catches it up in one frame. frame is the announcement pre-encoded, so
 // the repair paths (per stale frame received, per redundancy round) pay
 // one Send each, never a re-serialization.
-//
-// A join whose subject advertised the quantized capability is pre-encoded
-// twice: frame strips the Caps field and stays wire v3 (safe toward any
-// peer, including ones that predate v4), frameV4 carries it. Sends pick
-// per destination — frameV4 only toward peers that have advertised v4
-// themselves — so the subject's capability still reaches its (v4)
-// neighbors through relays, pre-warming their negotiation, without a v4
-// frame ever landing on a legacy peer.
 type memberChange struct {
-	kind    wire.FrameKind // FrameJoin or FrameLeave
-	member  wire.Membership
-	frame   []byte // <= v3 encoding (Caps stripped); valid toward every peer
-	frameV4 []byte // v4 encoding carrying the subject's Caps; nil unless advertised
+	kind   wire.FrameKind // FrameJoin or FrameLeave
+	member wire.Membership
+	frame  []byte
 }
 
 // newMemberChange builds the record, deep-copying the slices (the caller
-// may hold them) and pre-encoding the frame(s). Encoding a validated
+// may hold them) and pre-encoding the frame. Encoding a validated
 // Membership cannot fail; a nil frame just disables re-announcement.
 func newMemberChange(kind wire.FrameKind, m *wire.Membership) *memberChange {
 	mc := &memberChange{kind: kind, member: *m}
 	mc.member.Departed = append([]topology.NodeID(nil), m.Departed...)
 	mc.member.Neighbors = append([]topology.NodeID(nil), m.Neighbors...)
-	if kind == wire.FrameJoin && mc.member.Caps >= wire.CapsQuantized {
-		mc.frameV4, _ = wire.Encode(&wire.Frame{Kind: kind, Member: &mc.member})
-		legacy := mc.member
-		legacy.Caps = 0
-		mc.frame, _ = wire.Encode(&wire.Frame{Kind: kind, Member: &legacy})
-		return mc
-	}
 	mc.frame, _ = wire.Encode(&wire.Frame{Kind: kind, Member: &mc.member})
 	return mc
-}
-
-// frameFor picks the announcement encoding for one destination: the v4
-// variant when the peer advertised the capability, the universally safe
-// <= v3 variant otherwise (including while the peer's caps are unknown —
-// a v4 frame toward a legacy peer would be dropped whole, losing the
-// membership change until the epoch-repair loop).
-func (mc *memberChange) frameFor(caps uint8) []byte {
-	if caps >= wire.CapsQuantized && mc.frameV4 != nil {
-		return mc.frameV4
-	}
-	return mc.frame
-}
-
-// Capability-hello pacing (see peerWire): the first frame toward a peer
-// with unknown caps is an advert, then re-adverts ride every 4th, 8th,
-// 16th … frame up to one in helloGapMax. The backoff bounds the cost at
-// genuinely-legacy peers — they drop each v4 hello whole, losing one
-// heartbeat's knowledge in helloGapMax frames (~0.4%) at the cap — while
-// restarted or lossy v4 pairs still re-converge: some hello eventually
-// lands in one direction, and the forceAdv echo closes the other within
-// one frame.
-const (
-	helloGapFirst = 4
-	helloGapMax   = 256
-)
-
-// peerWire tracks wire-version negotiation toward one peer. caps is the
-// highest mutually supported wire version: 0 until the peer's first
-// frame arrives, capsLegacy once it has spoken without advertising, 4
-// once it advertised the quantized capability (sticky — upgrades only).
-// While caps < 4, helloNext counts down the frames until the next
-// capability advert (gap doubling from helloGapFirst to helloGapMax).
-// forceAdv is a one-shot set when the peer upgrades to 4: the next frame
-// toward it advertises back regardless of payload, so a fresh pair
-// completes negotiation in one round-trip instead of waiting for a
-// non-empty delta.
-type peerWire struct {
-	caps      uint8
-	helloGap  uint16
-	helloNext uint16
-	forceAdv  bool
-}
-
-// capsLegacy marks a peer that has sent frames but never a capability
-// advert: assume the highest pre-negotiation wire version.
-const capsLegacy = 3
-
-// capsStep reads the negotiation state toward one peer and advances its
-// hello countdown by the frame the caller is about to send. advert
-// reports that this frame should carry a capability advert (and, while
-// the peer's own caps are unknown, a quantized payload — the hello
-// doubles as the first quantized frame).
-func (n *Node) capsStep(to topology.NodeID) (caps uint8, advert bool) {
-	n.peerMu.Lock()
-	defer n.peerMu.Unlock()
-	pw := n.peerWire[to]
-	if pw == nil {
-		pw = &peerWire{}
-		n.peerWire[to] = pw
-	}
-	if pw.caps >= wire.CapsQuantized {
-		advert = pw.forceAdv
-		pw.forceAdv = false
-		return pw.caps, advert
-	}
-	if pw.helloNext == 0 {
-		if pw.helloGap == 0 {
-			pw.helloGap = helloGapFirst
-		} else if pw.helloGap < helloGapMax {
-			pw.helloGap *= 2
-		}
-		pw.helloNext = pw.helloGap
-		return pw.caps, true
-	}
-	pw.helloNext--
-	return pw.caps, false
-}
-
-// noteCaps records a peer's advertised capability from a frame it sent
-// directly (heartbeats and deltas; data frames are relayed verbatim and
-// say nothing about the relayer). caps == 0 means the frame carried no
-// advert: the peer spoke, so it is at least legacy. Upgrades are sticky
-// — an advertised capability is a property of the peer's binary, and
-// empty deltas from a known-v4 peer deliberately drop back to the
-// oldest layout. A fresh upgrade to 4 arms forceAdv so the next frame
-// toward the peer advertises back immediately.
-func (n *Node) noteCaps(from topology.NodeID, caps uint64) {
-	c := uint8(capsLegacy)
-	if caps >= wire.CapsQuantized {
-		c = wire.CapsQuantized // min(theirs, ours): we speak up to v4
-	}
-	n.peerMu.Lock()
-	defer n.peerMu.Unlock()
-	pw := n.peerWire[from]
-	if pw == nil {
-		pw = &peerWire{}
-		n.peerWire[from] = pw
-	}
-	if c <= pw.caps {
-		return
-	}
-	if c >= wire.CapsQuantized {
-		pw.forceAdv = true
-	}
-	pw.caps = c
-}
-
-// peerCapsOf reads the negotiated wire version toward one peer (0 when
-// the peer has never spoken) without advancing the hello pacing.
-func (n *Node) peerCapsOf(to topology.NodeID) uint8 {
-	n.peerMu.Lock()
-	defer n.peerMu.Unlock()
-	if pw := n.peerWire[to]; pw != nil {
-		return pw.caps
-	}
-	return 0
 }
 
 // Node is one live process.
@@ -509,8 +354,8 @@ type Node struct {
 	// announceLeft counts the remaining periods Tick re-floods lastChange
 	// to the neighborhood: announcements ride lossy links like any frame,
 	// and a few redundant rounds bound the chance a member misses a
-	// membership change even where the stale-epoch repair loop cannot see
-	// it (full-snapshot heartbeats carry no epoch).
+	// membership change even where the stale-epoch repair loop has not
+	// yet seen a frame from it.
 	announceLeft atomic.Int32
 
 	// borrowDecode is set when the transport hands the handler exclusive
@@ -548,14 +393,10 @@ type Node struct {
 	// next heartbeat. peerAcked[j] is the latest version of *this* view j
 	// has acknowledged — the base the next delta to j is cut from; 0 (or a
 	// value ahead of the current view, after a restart) forces the
-	// full-snapshot fallback. peerWire[j] is the wire-capability
-	// negotiation state toward j; unlike the ack bookkeeping it survives
-	// membership changes — what a peer's binary can decode does not
-	// change with the roster.
+	// full-snapshot fallback.
 	peerMu    sync.Mutex
 	peerSeen  map[topology.NodeID]uint64
 	peerAcked map[topology.NodeID]uint64
-	peerWire  map[topology.NodeID]*peerWire
 
 	// fwdCache memoizes trees rebuilt from received parent vectors; nil
 	// when disabled.
@@ -630,7 +471,6 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 		delivered:  newDeliveredSet(),
 		peerSeen:   make(map[topology.NodeID]uint64, len(cfg.Neighbors)),
 		peerAcked:  make(map[topology.NodeID]uint64, len(cfg.Neighbors)),
-		peerWire:   make(map[topology.NodeID]*peerWire, len(cfg.Neighbors)),
 		deliveries: make(chan Delivery, cfg.DeliveryBuffer),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
@@ -645,21 +485,13 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 	if cfg.Epoch > 0 {
 		// A node constructed mid-epoch (a joiner) can catch laggard peers
 		// up on its own membership change, and re-floods it for a few
-		// periods in case the AnnounceJoin flood is lost. A quantized
-		// joiner stamps its capability on the announcement so its (v4)
-		// neighbors can pre-warm negotiation from relays; the actual
-		// flood still picks the legacy variant until a peer advertises.
-		var caps uint64
-		if cfg.QuantizedBeliefs {
-			caps = wire.CapsQuantized
-		}
+		// periods in case the AnnounceJoin flood is lost.
 		n.lastChange.Store(newMemberChange(wire.FrameJoin, &wire.Membership{
 			Node:      cfg.ID,
 			Epoch:     cfg.Epoch,
 			NumProcs:  cfg.NumProcs,
 			Departed:  cfg.Departed,
 			Neighbors: roster,
-			Caps:      caps,
 		}))
 		n.announceLeft.Store(announceRounds)
 	}
@@ -860,7 +692,7 @@ func (n *Node) Tick() {
 		if lc := n.lastChange.Load(); lc != nil && lc.frame != nil {
 			for _, nb := range neighbors {
 				if nb != lc.member.Node {
-					_ = n.sendControl(nb, lc.frameFor(n.peerCapsOf(nb)), nil)
+					_ = n.sendControl(nb, lc.frame, nil)
 				}
 			}
 		}
@@ -960,92 +792,49 @@ func (n *Node) Tick() {
 	}
 
 	if n.cfg.DisableDeltaHeartbeats {
-		// At most two encodes per period regardless of degree: one raw
-		// frame shared by every legacy/unknown neighbor, one quantized v4
-		// frame shared by every neighbor that advertised the capability
-		// (or is owed a hello). Without QuantizedBeliefs this stays the
-		// single shared raw frame it always was.
-		var rawFrame, quantFrame []byte
-		sent, quant := 0, 0
+		// One encode per period regardless of degree: every neighbor gets
+		// the same full-snapshot frame.
+		frame, err := wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: full, Epoch: epoch})
+		if err != nil {
+			return
+		}
+		sent := 0
 		for _, nb := range neighbors {
-			frame := rawFrame
-			quantized := false
-			if n.cfg.QuantizedBeliefs {
-				caps, advert := n.capsStep(nb)
-				quantized = caps >= wire.CapsQuantized || advert
-			}
-			if quantized {
-				if quantFrame == nil {
-					f, err := wire.Encode(&wire.Frame{
-						Kind:      wire.FrameHeartbeat,
-						Heartbeat: full,
-						Caps:      wire.CapsQuantized,
-						Quant:     true,
-					})
-					if err != nil {
-						continue
-					}
-					quantFrame = f
-				}
-				frame = quantFrame
-			} else if frame == nil {
-				f, err := wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: full})
-				if err != nil {
-					return
-				}
-				rawFrame, frame = f, f
-			}
 			if err := n.sendControl(nb, frame, nil); err == nil {
 				sent++
-				if quantized {
-					quant++
-				}
 				n.stats.heartbeatBytesSent.Add(int64(len(frame)))
 			}
 		}
 		n.stats.heartbeatsSent.Add(int64(sent))
-		n.stats.quantHeartbeatsSent.Add(int64(quant))
 		return
 	}
 
 	// Shared delta cuts: the snapshot section of a delta frame is encoded
-	// once per distinct (snapshot, profile) pair — in the common case
-	// every neighbor acked the same version and negotiated the same wire
-	// version, so once per period — then spliced after each neighbor's
-	// individual header: Since/Ack/Cadence/Caps differ per peer, the
-	// record section doesn't. Section buffers are copied into the frames
-	// by AppendDeltaFrame, so they recycle as soon as the loop ends;
-	// frame buffers recycle when their send releases them.
-	type secKey struct {
-		snap  *knowledge.Snapshot
-		quant bool
-	}
+	// once per distinct snapshot — in the common case every neighbor
+	// acked the same version, so once per period — then spliced after
+	// each neighbor's individual header: Since/Ack/Cadence differ per
+	// peer, the record section doesn't. Section buffers are copied into
+	// the frames by AppendDeltaFrame, so they recycle as soon as the loop
+	// ends; frame buffers recycle when their send releases them.
 	var secBufs []*encBuf
-	secs := make(map[secKey][]byte, 2)
-	sectionFor := func(s *knowledge.Snapshot, quant bool) ([]byte, error) {
-		k := secKey{s, quant}
-		if sec, ok := secs[k]; ok {
+	secs := make(map[*knowledge.Snapshot][]byte, 2)
+	sectionFor := func(s *knowledge.Snapshot) ([]byte, error) {
+		if sec, ok := secs[s]; ok {
 			return sec, nil
 		}
 		eb := n.encPool.get()
-		var sec []byte
-		var err error
-		if quant {
-			sec, err = wire.AppendSnapshotSectionQuantized(eb.b, s)
-		} else {
-			sec, err = wire.AppendSnapshotSection(eb.b, s)
-		}
+		sec, err := wire.AppendSnapshotSection(eb.b, s)
 		if err != nil {
 			n.encPool.put(eb)
 			return nil, err
 		}
 		eb.b = sec
 		secBufs = append(secBufs, eb)
-		secs[k] = sec
+		secs[s] = sec
 		return sec, nil
 	}
 
-	sent, deltas, quants := 0, 0, 0
+	sent, deltas := 0, 0
 	for _, o := range outs {
 		declared := 1
 		if n.cad != nil {
@@ -1061,26 +850,7 @@ func (n *Node) Tick() {
 				continue
 			}
 		}
-		// Wire-profile decision. Toward a peer that advertised v4:
-		// quantized v4 when the section is non-empty (that is where the
-		// bytes are) or a return advert is owed; an empty delta drops
-		// back to the oldest layout — an empty quantized section encodes
-		// the same bytes as an empty raw one, so v4 would only add the
-		// Caps varint to a frame whose whole point is being minimal.
-		// Toward an unknown/legacy peer: raw <= v3, except the paced
-		// capability hellos, which ride v4 with a quantized payload (a
-		// genuinely legacy peer drops the frame whole either way, and a
-		// v4 peer gets its first quantized knowledge one frame early).
-		var caps uint64
-		quant := false
-		if n.cfg.QuantizedBeliefs {
-			pc, advert := n.capsStep(o.to)
-			nonEmpty := len(o.snap.Procs) > 0 || len(o.snap.Links) > 0
-			if (pc >= wire.CapsQuantized && nonEmpty) || advert {
-				caps, quant = wire.CapsQuantized, true
-			}
-		}
-		sec, err := sectionFor(o.snap, quant)
+		sec, err := sectionFor(o.snap)
 		if err != nil {
 			continue
 		}
@@ -1091,7 +861,6 @@ func (n *Node) Tick() {
 			Ack:     seen[o.to],
 			Cadence: uint64(declared),
 			Epoch:   epoch,
-			Caps:    caps,
 		}, sec)
 		if err != nil {
 			n.encPool.put(eb)
@@ -1104,9 +873,6 @@ func (n *Node) Tick() {
 			if o.since > 0 {
 				deltas++
 			}
-			if quant {
-				quants++
-			}
 		}
 	}
 	for _, eb := range secBufs {
@@ -1114,7 +880,6 @@ func (n *Node) Tick() {
 	}
 	n.stats.heartbeatsSent.Add(int64(sent))
 	n.stats.deltaHeartbeatsSent.Add(int64(deltas))
-	n.stats.quantHeartbeatsSent.Add(int64(quants))
 }
 
 // cadenceStep advances the adaptive-cadence controller for one neighbor
@@ -1414,13 +1179,12 @@ func (n *Node) handle(from topology.NodeID, frameBytes []byte) {
 	}
 	switch frame.Kind {
 	case wire.FrameHeartbeat:
-		// Legacy full-snapshot heartbeats predate epochs and carry none;
-		// they are not gated (a static cluster is the only place they
-		// interoperate cleanly anyway).
+		if !n.epochGate(from, frame.Epoch) {
+			return
+		}
 		if n.closed.Load() {
 			return
 		}
-		n.noteCaps(from, frame.Caps)
 		n.viewMu.Lock()
 		err := n.view.MergeSnapshot(frame.Heartbeat)
 		n.viewMu.Unlock()
@@ -1444,7 +1208,7 @@ func (n *Node) handle(from topology.NodeID, frameBytes []byte) {
 	}
 }
 
-// epochGate fences a data/delta frame against the node's membership
+// epochGate fences a heartbeat/data/delta frame against the node's membership
 // epoch. Same epoch: process. Older epoch: the sender missed a
 // membership change — drop the frame (its trees, version bookkeeping and
 // roster assumptions belong to a dead membership view), count it, and
@@ -1470,7 +1234,7 @@ func (n *Node) epochGate(from topology.NodeID, frameEpoch uint64) bool {
 		n.reannMu.Unlock()
 		if first {
 			if lc := n.lastChange.Load(); lc != nil && lc.frame != nil {
-				_ = n.sendControl(from, lc.frameFor(n.peerCapsOf(from)), nil)
+				_ = n.sendControl(from, lc.frame, nil)
 			}
 		}
 	}
@@ -1489,15 +1253,6 @@ func (n *Node) handleMembership(from topology.NodeID, kind wire.FrameKind, m *wi
 	if m.Node == n.cfg.ID && kind == wire.FrameLeave {
 		return // the cluster says we left; nothing sensible to apply locally
 	}
-	// A join carrying the subject's capability advert pre-warms the
-	// negotiation toward the joiner — only an explicit advert counts: the
-	// legacy relay variant strips Caps, and its absence must not brand
-	// the subject legacy (noteCaps's "spoke without advertising" reading
-	// applies to direct frames only). The relayer's own caps are learned
-	// from its heartbeats, never inferred from what it forwards.
-	if kind == wire.FrameJoin && m.Caps >= wire.CapsQuantized {
-		n.noteCaps(m.Node, m.Caps)
-	}
 	if !n.applyMembership(kind, m) {
 		return
 	}
@@ -1511,7 +1266,7 @@ func (n *Node) handleMembership(from topology.NodeID, kind wire.FrameKind, m *wi
 			if nb == from || nb == m.Node {
 				continue
 			}
-			_ = n.sendControl(nb, lc.frameFor(n.peerCapsOf(nb)), nil)
+			_ = n.sendControl(nb, lc.frame, nil)
 		}
 	}
 }
@@ -1572,11 +1327,7 @@ func (n *Node) applyMembership(kind wire.FrameKind, m *wire.Membership) bool {
 	// fallback toward every neighbor; clearing peerSeen makes this node
 	// ack 0 until fresh full snapshots arrive, forcing the fallback in
 	// the other direction too. Cadence controllers restart at one frame
-	// per period, which also pushes the news out immediately. peerWire
-	// deliberately survives: what a peer's binary can decode is a
-	// property of the peer, not of the roster, and re-negotiating across
-	// every epoch change would downgrade the (large) post-change full
-	// snapshots to the raw profile.
+	// per period, which also pushes the news out immediately.
 	n.peerMu.Lock()
 	for k := range n.peerSeen {
 		delete(n.peerSeen, k)
@@ -1633,7 +1384,7 @@ func (n *Node) AnnounceJoin() error {
 	var lastErr error
 	sent := 0
 	for _, nb := range n.Neighbors() {
-		if err := n.tr.Send(nb, lc.frameFor(n.peerCapsOf(nb))); err == nil {
+		if err := n.tr.Send(nb, lc.frame); err == nil {
 			sent++
 		} else {
 			lastErr = err
@@ -1737,10 +1488,6 @@ func (n *Node) handleDelta(from topology.NodeID, d *wire.KnowledgeDelta) {
 	if n.closed.Load() {
 		return
 	}
-	// Record the sender's wire capability before anything can reject the
-	// frame's contents: a direct frame is proof of what the peer speaks
-	// regardless of what its snapshot merges to.
-	n.noteCaps(from, d.Caps)
 	n.viewMu.Lock()
 	// The declared cadence scales this view's expected-arrival accounting
 	// for the sender: suspicion timeout and sequence-gap loss bookkeeping

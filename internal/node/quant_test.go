@@ -13,8 +13,8 @@ import (
 )
 
 // tapTransport wraps a fabric endpoint and records every outbound frame
-// per destination, so tests can audit the wire profile a node actually
-// speaks toward each peer.
+// per destination, so tests can audit what a node actually sends toward
+// each peer.
 type tapTransport struct {
 	transport.Transport
 	mu   sync.Mutex
@@ -46,183 +46,11 @@ func (tp *tapTransport) frames(to topology.NodeID) [][]byte {
 	return out
 }
 
-// TestQuantizedClusterNegotiates: a cluster where everyone enables
-// quantized beliefs converges onto the v4 profile — every node sends
-// quantized heartbeats, nobody mis-decodes anything, and the knowledge
-// plane is complete.
-func TestQuantizedClusterNegotiates(t *testing.T) {
-	g, err := topology.Line(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fabric := transport.NewFabric(transport.FabricOptions{})
-	defer func() { _ = fabric.Close() }()
-	nodes := buildCluster(t, g, fabric, func(i int) Config {
-		return Config{QuantizedBeliefs: true}
-	})
-	settleTicks(nodes, 120)
-	for i, nd := range nodes {
-		s := nd.Stats()
-		if s.QuantizedHeartbeatsSent == 0 {
-			t.Errorf("node %d never sent a quantized heartbeat in an all-v4 cluster", i)
-		}
-		if s.DecodeErrors != 0 {
-			t.Errorf("node %d hit %d decode errors on v4 traffic", i, s.DecodeErrors)
-		}
-		if got := len(nd.KnownLinks()); got != 2 {
-			t.Errorf("node %d knows %d links, want 2", i, got)
-		}
-	}
-	// Negotiation converges fast: after the settle, essentially all of a
-	// v4 node's heartbeats toward v4 peers ride the quantized profile.
-	s := nodes[1].Stats()
-	if s.QuantizedHeartbeatsSent*2 < s.HeartbeatsSent {
-		t.Errorf("middle node sent %d quantized of %d heartbeats — negotiation never converged",
-			s.QuantizedHeartbeatsSent, s.HeartbeatsSent)
-	}
-}
-
-// TestQuantizedFullHeartbeats: negotiation also rides classic
-// full-snapshot heartbeats (DisableDeltaHeartbeats), where the win is
-// largest — after the first exchange, essentially every frame both ways
-// is quantized.
+// TestQuantizedFullHeartbeats: full-snapshot heartbeats
+// (DisableDeltaHeartbeats) ship their estimates in the quantized
+// layouts — under 4 bytes per belief on the wire, where the raw float64
+// layouts spend 8.
 func TestQuantizedFullHeartbeats(t *testing.T) {
-	g, err := topology.Line(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fabric := transport.NewFabric(transport.FabricOptions{})
-	defer func() { _ = fabric.Close() }()
-	nodes := buildCluster(t, g, fabric, func(i int) Config {
-		return Config{QuantizedBeliefs: true, DisableDeltaHeartbeats: true}
-	})
-	settleTicks(nodes, 50)
-	for i, nd := range nodes {
-		s := nd.Stats()
-		if s.DecodeErrors != 0 {
-			t.Errorf("node %d hit %d decode errors", i, s.DecodeErrors)
-		}
-		if s.QuantizedHeartbeatsSent < s.HeartbeatsSent-2 {
-			t.Errorf("node %d sent %d quantized of %d full heartbeats — negotiation never converged",
-				i, s.QuantizedHeartbeatsSent, s.HeartbeatsSent)
-		}
-	}
-}
-
-// TestQuantizedEstimateParity is the satellite's system-level half: on
-// identical lossy schedules, a cluster speaking the quantized profile
-// must land on the same crash and loss estimates as the float64
-// baseline, within the same tolerances the adaptive-cadence parity test
-// uses — the <= 1e-3 per-hop quantization error must stay invisible at
-// the estimate level.
-func TestQuantizedEstimateParity(t *testing.T) {
-	for _, seed := range []int64{7, 42} {
-		run := func(quantized bool) []*Node {
-			rng := rand.New(rand.NewSource(seed))
-			g, err := topology.RandomConnected(6, 2, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fabric := transport.NewFabric(transport.FabricOptions{Seed: seed})
-			t.Cleanup(func() { _ = fabric.Close() })
-			nodes := buildCluster(t, g, fabric, func(i int) Config {
-				return Config{QuantizedBeliefs: quantized}
-			})
-			for li := 0; li < g.NumLinks(); li++ {
-				l := g.Link(li)
-				if err := fabric.SetLoss(l.A, l.B, 0.25); err != nil {
-					t.Fatal(err)
-				}
-			}
-			settleTicks(nodes, 200)
-			for li := 0; li < g.NumLinks(); li++ {
-				l := g.Link(li)
-				if err := fabric.SetLoss(l.A, l.B, 0); err != nil {
-					t.Fatal(err)
-				}
-			}
-			settleTicks(nodes, 100)
-			return nodes
-		}
-
-		quant := run(true)
-		plain := run(false)
-		for i := range quant {
-			if errs := quant[i].Stats().DecodeErrors; errs != 0 {
-				t.Errorf("seed %d: node %d hit %d decode errors on quantized traffic", seed, i, errs)
-			}
-			for p := 0; p < 6; p++ {
-				mQ, dQ := quant[i].CrashEstimate(topology.NodeID(p))
-				mP, dP := plain[i].CrashEstimate(topology.NodeID(p))
-				if (dQ == math.MaxInt32) != (dP == math.MaxInt32) {
-					t.Fatalf("seed %d: node %d knows of process %d in one profile only", seed, i, p)
-				}
-				if math.Abs(mQ-mP) > 0.05 {
-					t.Errorf("seed %d: node %d crash estimate of %d diverged: quantized=%v float=%v",
-						seed, i, p, mQ, mP)
-				}
-			}
-			for _, l := range plain[i].KnownLinks() {
-				mP, _, okP := plain[i].LossEstimate(l)
-				mQ, _, okQ := quant[i].LossEstimate(l)
-				if !okP || !okQ {
-					t.Fatalf("seed %d: node %d link %v known in one profile only", seed, i, l)
-				}
-				if math.Abs(mQ-mP) > 0.08 {
-					t.Errorf("seed %d: node %d loss estimate of %v diverged: quantized=%v float=%v",
-						seed, i, l, mQ, mP)
-				}
-			}
-		}
-	}
-}
-
-// TestQuantizedMixedCluster checks one-sided deployment: v4 nodes and
-// float64-only nodes interoperate — v4 pairs speak quantized between
-// themselves, legacy nodes never do, and nobody's knowledge plane or
-// decoding suffers.
-func TestQuantizedMixedCluster(t *testing.T) {
-	g, err := topology.Ring(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fabric := transport.NewFabric(transport.FabricOptions{})
-	defer func() { _ = fabric.Close() }()
-	nodes := buildCluster(t, g, fabric, func(i int) Config {
-		if i < 3 { // nodes 0-1-2: two adjacent v4 pairs on the ring
-			return Config{QuantizedBeliefs: true}
-		}
-		return Config{}
-	})
-	settleTicks(nodes, 320)
-	for i, nd := range nodes {
-		s := nd.Stats()
-		if s.DecodeErrors != 0 {
-			t.Errorf("node %d hit %d decode errors on mixed traffic", i, s.DecodeErrors)
-		}
-		if got := len(nd.KnownLinks()); got != 6 {
-			t.Errorf("node %d knows %d links in the mixed cluster, want 6", i, got)
-		}
-		if i >= 3 && s.QuantizedHeartbeatsSent != 0 {
-			t.Errorf("legacy node %d sent %d quantized heartbeats", i, s.QuantizedHeartbeatsSent)
-		}
-		if i < 3 && s.QuantizedHeartbeatsSent == 0 {
-			t.Errorf("v4 node %d never sent a quantized heartbeat despite a v4 neighbor", i)
-		}
-		// Lossless links: the profile switch must not perturb accounting.
-		for _, l := range nd.KnownLinks() {
-			if mean, dist, ok := nd.LossEstimate(l); ok && dist == 0 && mean > 0.25 {
-				t.Errorf("node %d estimates loss %.3f on lossless %v under mixed profiles", i, mean, l)
-			}
-		}
-	}
-}
-
-// TestQuantizedLegacyFrameDiscipline audits the actual bytes a v4 node
-// sends toward a peer that never advertises the capability: everything
-// stays at wire version <= 3 except the geometrically backed-off hello
-// frames, whose count over N periods is O(log N + N/256).
-func TestQuantizedLegacyFrameDiscipline(t *testing.T) {
 	g, err := topology.Line(2)
 	if err != nil {
 		t.Fatal(err)
@@ -232,71 +60,116 @@ func TestQuantizedLegacyFrameDiscipline(t *testing.T) {
 
 	taps := make([]*tapTransport, 2)
 	nodes := make([]*Node, 2)
-	for i := 0; i < 2; i++ {
+	for i := range nodes {
 		taps[i] = newTap(fabric.Endpoint(topology.NodeID(i)))
-		c := Config{
-			ID:               topology.NodeID(i),
-			NumProcs:         2,
-			Neighbors:        g.Neighbors(topology.NodeID(i)),
-			QuantizedBeliefs: i == 0, // node 1 never advertises
-		}
-		nd, err := New(c, taps[i])
+		nd, err := New(Config{
+			ID:                     topology.NodeID(i),
+			NumProcs:               2,
+			Neighbors:              g.Neighbors(topology.NodeID(i)),
+			DisableDeltaHeartbeats: true,
+		}, taps[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		nodes[i] = nd
 	}
-
-	const periods = 600
-	settleTicks(nodes, periods)
-
-	hellos := 0
-	for fi, b := range taps[0].frames(1) {
-		if len(b) < 3 {
-			t.Fatalf("frame %d: short frame (%d bytes)", fi, len(b))
-		}
-		if b[1] <= 3 {
-			continue
-		}
-		hellos++
-		f, err := wire.Decode(b)
-		if err != nil {
-			t.Fatalf("frame %d: hello failed to decode: %v", fi, err)
-		}
-		caps := f.Caps
-		if f.Kind == wire.FrameKnowledgeDelta {
-			caps = f.Delta.Caps
-		}
-		if caps != wire.CapsQuantized {
-			t.Fatalf("frame %d: v4 frame toward a legacy peer without a capability advert", fi)
-		}
-	}
-	if hellos == 0 {
-		t.Error("v4 node never sent a capability hello toward the silent peer")
-	}
-	// Hello pacing over 600 periods: first frame, then gaps 4, 8, ...,
-	// 256, 256 — about 9 frames. Anything near the period count means the
-	// backoff is broken and legacy peers pay a permanent v4 tax.
-	if hellos > 12 {
-		t.Errorf("v4 node sent %d hellos over %d periods, want <= 12 (geometric backoff)", hellos, periods)
-	}
-	if got := nodes[0].Stats().QuantizedHeartbeatsSent; got != hellos {
-		t.Errorf("QuantizedHeartbeatsSent = %d but %d quantized frames crossed the tap", got, hellos)
-	}
-
-	// The legacy-config node heard the adverts but must never answer in
-	// kind: all of its frames stay <= v3.
-	for fi, b := range taps[1].frames(0) {
-		if b[1] > 3 {
-			t.Errorf("legacy node frame %d went out at wire version %d", fi, b[1])
-		}
-	}
-	if got := nodes[1].Stats().QuantizedHeartbeatsSent; got != 0 {
-		t.Errorf("legacy node counted %d quantized heartbeats", got)
-	}
+	settleTicks(nodes, 50)
 	for i, nd := range nodes {
-		if errs := nd.Stats().DecodeErrors; errs != 0 {
-			t.Errorf("node %d hit %d decode errors", i, errs)
+		s := nd.Stats()
+		if s.DecodeErrors != 0 || s.SnapshotMergeErrors != 0 {
+			t.Errorf("node %d hit %d decode and %d merge errors", i, s.DecodeErrors, s.SnapshotMergeErrors)
+		}
+		if s.HeartbeatsReceived == 0 {
+			t.Errorf("node %d received no heartbeats", i)
+		}
+		frames := taps[i].frames(topology.NodeID(1 - i))
+		if len(frames) == 0 {
+			t.Fatalf("node %d sent no frames", i)
+		}
+		for fi, b := range frames {
+			f, err := wire.Decode(b)
+			if err != nil {
+				t.Fatalf("node %d frame %d: %v", i, fi, err)
+			}
+			if f.Kind != wire.FrameHeartbeat {
+				t.Fatalf("node %d frame %d: kind %d, want a full heartbeat", i, fi, f.Kind)
+			}
+			beliefs := 0
+			for _, pr := range f.Heartbeat.Procs {
+				beliefs += len(pr.Est.LogBeliefs)
+			}
+			for _, lr := range f.Heartbeat.Links {
+				beliefs += len(lr.Est.LogBeliefs)
+			}
+			if len(b) >= 4*beliefs {
+				t.Errorf("node %d frame %d: %dB for %d beliefs — estimates not quantized", i, fi, len(b), beliefs)
+			}
+		}
+	}
+}
+
+// TestQuantizedEstimateParity is the system-level half of the
+// quantization error bound: on seeded schedules, a cluster whose beliefs
+// cross every link quantized must still converge to the true crash and
+// loss rates, within the tolerances the adaptive-cadence parity test
+// uses — the <= 1e-3 per-hop quantization error must stay invisible at
+// the estimate level. No process ever crashes. The crash rate is checked
+// on lossless links: under loss, Event 2 books every heartbeat timeout
+// as crash evidence against the silent neighbor, so there the crash
+// estimate tracks suspicions, not the true rate.
+func TestQuantizedEstimateParity(t *testing.T) {
+	for _, seed := range []int64{7, 42} {
+		run := func(loss float64, periods int) (*topology.Graph, []*Node) {
+			rng := rand.New(rand.NewSource(seed))
+			g, err := topology.RandomConnected(6, 2, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fabric := transport.NewFabric(transport.FabricOptions{Seed: seed})
+			t.Cleanup(func() { _ = fabric.Close() })
+			nodes := buildCluster(t, g, fabric, nil)
+			for li := 0; li < g.NumLinks(); li++ {
+				l := g.Link(li)
+				if err := fabric.SetLoss(l.A, l.B, loss); err != nil {
+					t.Fatal(err)
+				}
+			}
+			settleTicks(nodes, periods)
+			for i, nd := range nodes {
+				if errs := nd.Stats().DecodeErrors; errs != 0 {
+					t.Errorf("seed %d: node %d hit %d decode errors", seed, i, errs)
+				}
+			}
+			return g, nodes
+		}
+
+		g, nodes := run(0, 200)
+		for i, nd := range nodes {
+			for p := 0; p < g.NumNodes(); p++ {
+				m, d := nd.CrashEstimate(topology.NodeID(p))
+				if d == math.MaxInt32 {
+					t.Fatalf("seed %d: node %d never learned of process %d", seed, i, p)
+				}
+				if m > 0.05 {
+					t.Errorf("seed %d: node %d crash estimate of %d is %v, want within 0.05 of 0", seed, i, p, m)
+				}
+			}
+		}
+
+		const trueLoss = 0.25
+		g, nodes = run(trueLoss, 500)
+		for i, nd := range nodes {
+			for li := 0; li < g.NumLinks(); li++ {
+				l := g.Link(li)
+				m, _, ok := nd.LossEstimate(l)
+				if !ok {
+					t.Fatalf("seed %d: node %d never learned of link %v", seed, i, l)
+				}
+				if math.Abs(m-trueLoss) > 0.08 {
+					t.Errorf("seed %d: node %d loss estimate of %v is %v, want within 0.08 of %v",
+						seed, i, l, m, trueLoss)
+				}
+			}
 		}
 	}
 }

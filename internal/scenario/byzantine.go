@@ -17,8 +17,9 @@ import (
 // hand-crafted poisonous heartbeats — at a running 4-node Fabric
 // cluster, mid-traffic. The cluster is built at a membership epoch
 // strictly newer than anything the corpus ever encoded, so the epoch
-// fence (not luck) is what keeps historical data/delta/join/leave frames
-// from forging deliveries or mutating the roster. The harness does exact
+// fence (not luck) is what keeps historical heartbeat/data/delta/join/
+// leave frames from forging deliveries, poisoning the knowledge plane or
+// mutating the roster. The harness does exact
 // bookkeeping: it pre-computes, by decoding the injected set offline,
 // how many frames must fail decode and how many must be epoch-fenced,
 // and errors if the live counters disagree.
@@ -61,8 +62,8 @@ func byzantineReplay() Scenario {
 
 // clusterEpoch is strictly newer than every epoch any committed corpus
 // seed carries (the corpus tops out at epoch 4), so every historical
-// data/delta frame is stale by construction and every join/leave replay
-// is a no-op.
+// heartbeat/data/delta frame is stale by construction and every
+// join/leave replay is a no-op.
 const byzClusterEpoch = 5
 
 // liveProbe tracks one tracked broadcast on the live cluster.
@@ -198,10 +199,17 @@ func runByzantineReplay(seed int64, short bool) (Figures, error) {
 			expectBadDecode++
 			continue
 		}
-		// buildInjectionSet admits data/delta frames only when their
-		// epoch predates the cluster's, so decoding kind is enough here.
-		if f.Kind == wire.FrameData || f.Kind == wire.FrameKnowledgeDelta {
+		// buildInjectionSet admits heartbeat/data/delta frames only when
+		// their epoch predates the cluster's — except the crafted
+		// heartbeats, which carry the cluster's own epoch.
+		switch f.Kind {
+		case wire.FrameHeartbeat:
+			if f.Epoch < byzClusterEpoch {
+				expectStale++
+			}
+		case wire.FrameData, wire.FrameKnowledgeDelta:
 			expectStale++
+		case wire.FrameJoin, wire.FrameLeave:
 		}
 	}
 
@@ -363,27 +371,25 @@ func admissibleReplay(frame []byte) bool {
 	case wire.FrameJoin, wire.FrameLeave:
 		return f.Member.Epoch <= byzClusterEpoch // at-or-below: dropped as already applied
 	case wire.FrameHeartbeat:
-		// Heartbeats carry no epoch (they predate the fence): any
-		// replayed heartbeat is something an adversary could hold.
-		return true
+		return f.Epoch < byzClusterEpoch
 	}
 	return true
 }
 
 // craftedHeartbeats are well-formed frames whose knowledge snapshot every
-// view must refuse: heartbeats are not epoch-gated (they predate epochs),
-// so snapshot validation is the only line of defense, and each of these
+// view must refuse: they claim the cluster's own epoch, so they pass the
+// epoch fence and snapshot validation is the only line of defense; each
 // is rejected before any accounting side effect. Every node must book
 // one SnapshotMergeError per frame.
 func craftedHeartbeats() []*wire.Frame {
 	return []*wire.Frame{
 		// The departed rogue speaking in its own name.
-		{Kind: wire.FrameHeartbeat, Heartbeat: &knowledge.Snapshot{From: 4, Seq: 1}},
+		{Kind: wire.FrameHeartbeat, Epoch: byzClusterEpoch, Heartbeat: &knowledge.Snapshot{From: 4, Seq: 1}},
 		// A sender outside the ID space entirely.
-		{Kind: wire.FrameHeartbeat, Heartbeat: &knowledge.Snapshot{From: 99, Seq: 1}},
+		{Kind: wire.FrameHeartbeat, Epoch: byzClusterEpoch, Heartbeat: &knowledge.Snapshot{From: 99, Seq: 1}},
 		// The rogue again, with an absurd sequence and a payload, in case
 		// rejection ever depended on the snapshot being empty.
-		{Kind: wire.FrameHeartbeat, Heartbeat: &knowledge.Snapshot{
+		{Kind: wire.FrameHeartbeat, Epoch: byzClusterEpoch, Heartbeat: &knowledge.Snapshot{
 			From: 4, Seq: 1 << 40,
 			Procs: []knowledge.ProcRecord{{ID: 0, Dist: 1}},
 		}},

@@ -14,69 +14,41 @@ import (
 // Binary framing (see the README "Wire format" section):
 //
 //	[0] magic 0xAC
-//	[1] version (1, 2 or 3)
+//	[1] version (5; every other version is rejected)
 //	[2] kind (FrameHeartbeat | FrameData | FrameKnowledgeDelta | FrameJoin | FrameLeave)
 //	payload…
 //
-// Version 2 differs from version 1 in exactly one place: a knowledge-
-// delta payload carries one extra Cadence uvarint after the
-// {Since, Ver, Ack} header. The encoder emits version 2 only for delta
-// frames whose cadence is actually stretched (Cadence > 1); everything
-// else — all heartbeat and data frames, and every classic one-frame-per-δ
-// delta — stays a version-1 frame, byte-identical to what pre-cadence
-// peers emit and decode. Old peers therefore interoperate untouched
-// unless an operator turns adaptive cadence on against them.
-//
-// Version 3 adds dynamic membership: delta payloads gain an Epoch uvarint
-// after Cadence (which is always present in a v3 delta, stretched or
-// not), data payloads gain an Epoch uvarint after the piggyback section,
-// and the FrameJoin / FrameLeave kinds carry a Membership payload. The
-// encoder emits version 3 only when the epoch is nonzero (or for the
-// membership kinds, which exist only then), so every static-cluster frame
-// stays byte-identical to what v1/v2 peers emit and decode: epochs cost
-// nothing until a membership change actually happens, and old peers
-// interoperate in a static cluster by reading epoch-0 frames as their own.
-//
-// Version 4 adds capability negotiation and the quantized belief profile.
-// A v4 heartbeat carries a Caps uvarint (the sender's highest supported
-// wire version, ≥ 4 by construction) before its snapshot; a v4 delta
-// carries the same uvarint after Epoch; a v4 join appends the subject's
-// Caps after the neighbor list. Inside a v4 frame, estimator states may
-// use two additional layouts — flagQUniform and flagQWindow — that ship
-// log beliefs (and refined midpoints) as uint16 fixed-point codes over a
-// shared scale instead of float64s (see internal/bayes/quant.go for the
-// scheme and its ≤1e-3 error budget). The encoder emits version 4 only
-// when Caps is set, which the node does only toward peers that advertised
-// v4 themselves (or as a periodic capability hello), so every frame to a
-// non-v4 peer stays byte-identical to the v3-era encoding. Data frames
-// never encode as v4: they are encoded once and relayed verbatim across
-// peers with mixed capabilities, so their estimates always ride the raw
-// profile. Leave frames also stay v3 (a departing node has nothing to
-// negotiate).
+// There is one wire format. Heartbeat, delta and data frames carry the
+// sender's membership epoch: a full heartbeat as a uvarint before its
+// snapshot, a delta after its {Since, Ver, Ack, Cadence} header, a data
+// frame after its piggyback section. Join and leave frames carry a
+// Membership payload.
 //
 // Integers are varints (unsigned for sequence numbers, lengths and
 // counts; zigzag for node IDs, distortions and allocations, which can be
 // negative sentinels), floats are 8-byte little-endian IEEE 754, byte
-// strings are length-prefixed. A Bayesian estimator whose midpoints are
-// the standard uniform grid — every estimator that was never refined —
-// ships only its interval count; refined grids ship their midpoints
-// explicitly.
+// strings are length-prefixed. Estimator states ship quantized: log
+// beliefs (and refined midpoints) as uint16 fixed-point codes over a
+// shared scale instead of float64s (see internal/bayes/quant.go for the
+// scheme and its ≤1e-3 error budget). A state on the standard uniform
+// grid — every estimator that was never refined — ships only its
+// interval count (flagQUniform); a refined grid ships its exact first
+// and last midpoints and uint16 interior codes (flagQWindow). Degenerate
+// states — too few intervals, mismatched lengths, a collapsed refined
+// window — fall back to the raw float64 layouts (flagUniform,
+// flagRefined), which decoders always accept.
 
 const (
 	magic       = 0xAC
-	version     = 1
-	version2    = 2 // delta frames carrying a stretched Cadence
-	version3    = 3 // nonzero membership epoch; join/leave frames
-	version4    = 4 // capability advert; quantized belief profile
+	version     = 5
 	headerSize  = 3
-	flagUniform = 1 << 0 // estimator state: midpoints are the uniform grid
-	flagRefined = 0      // (midpoints explicit; no flag bits set)
+	flagUniform = 1 << 0 // raw estimator state: midpoints are the uniform grid
+	flagRefined = 0      // raw estimator state: midpoints explicit
 
-	// Quantized estimator layouts, legal only inside version-4 frames.
-	// flagQUniform is flagUniform's quantized twin (uniform grid, count
-	// only); flagQWindow carries a refined grid with exact first/last
-	// midpoints and uint16 interior codes. The raw layouts stay legal in
-	// v4 frames — the encoder falls back to them for degenerate states.
+	// Quantized estimator layouts. flagQUniform is flagUniform's
+	// quantized twin (uniform grid, count only); flagQWindow carries a
+	// refined grid with exact first/last midpoints and uint16 interior
+	// codes.
 	flagQUniform = 2
 	flagQWindow  = 3
 )
@@ -88,7 +60,6 @@ const (
 type reader struct {
 	b      []byte
 	off    int
-	ver    byte // frame version from the header; gates v4-only layouts
 	borrow bool // byte fields alias b instead of copying (DecodeBorrow)
 	err    error
 }
@@ -185,17 +156,6 @@ func (r *reader) floats(n int, what string) []float64 {
 	return out
 }
 
-// caps reads a version-4 capability advert: the sender's highest
-// supported wire version. A v4 frame advertising less than v4 is
-// self-contradictory and rejected.
-func (r *reader) caps() uint64 {
-	v := r.uvarint()
-	if r.err == nil && (v < version4 || v > MaxCaps) {
-		r.fail("v4 frame advertises caps %d", v)
-	}
-	return v
-}
-
 func (r *reader) uint16v() uint16 {
 	if r.err != nil {
 		return 0
@@ -244,7 +204,9 @@ func appendFloats(b []byte, fs []float64) []byte {
 // Estimator state
 // ---------------------------------------------------------------------------
 
-func appendEstimator(b []byte, s *bayes.State) []byte {
+// appendEstimatorRaw writes an estimator state in the raw float64
+// layouts, the fallback appendEstimator takes for degenerate states.
+func appendEstimatorRaw(b []byte, s *bayes.State) []byte {
 	if s.HasUniformMids() {
 		b = append(b, flagUniform)
 		b = binary.AppendUvarint(b, uint64(len(s.Mids)))
@@ -279,10 +241,6 @@ func (r *reader) estimator() bayes.State {
 		n := r.count("midpoints")
 		s.Mids = r.floats(n, "midpoints")
 	case flagQUniform:
-		if r.ver < version4 {
-			r.fail("quantized estimator in a version-%d frame", r.ver)
-			return s
-		}
 		// One count serves both mids and beliefs; each belief below takes
 		// 2 bytes.
 		u := r.uvarint()
@@ -297,10 +255,6 @@ func (r *reader) estimator() bayes.State {
 		s.LogBeliefs = r.qbeliefs(int(u))
 		return s
 	case flagQWindow:
-		if r.ver < version4 {
-			r.fail("quantized estimator in a version-%d frame", r.ver)
-			return s
-		}
 		u := r.uvarint()
 		if r.err != nil {
 			return s
@@ -360,10 +314,13 @@ func (r *reader) qbeliefs(n int) []float64 {
 		r.fail("beliefs: %d fixed-point codes exceed frame", n)
 		return nil
 	}
+	bq := bayes.NewBeliefQuant(scale)
+	codes := r.b[r.off : r.off+2*n]
+	r.off += 2 * n
 	out := make([]float64, n)
 	maxLb := math.Inf(-1)
 	for i := range out {
-		out[i] = bayes.DequantizeBelief(r.uint16v(), scale)
+		out[i] = bq.Belief(binary.LittleEndian.Uint16(codes[2*i:]))
 		if out[i] > maxLb {
 			maxLb = out[i]
 		}
@@ -380,15 +337,14 @@ func (r *reader) qbeliefs(n int) []float64 {
 	return out
 }
 
-// appendEstimatorQuant is appendEstimator in the v4 quantized profile:
+// appendEstimator writes an estimator state in the quantized layouts:
 // beliefs (and refined midpoints) ship as uint16 fixed-point codes over
 // a shared scale. Degenerate states — too few intervals, mismatched
-// lengths, a collapsed refined window — fall back to the raw layout,
-// which stays legal inside v4 frames.
-func appendEstimatorQuant(b []byte, s *bayes.State) []byte {
+// lengths, a collapsed refined window — fall back to the raw layouts.
+func appendEstimator(b []byte, s *bayes.State) []byte {
 	u := len(s.Mids)
 	if u < 2 || len(s.LogBeliefs) != u {
-		return appendEstimator(b, s)
+		return appendEstimatorRaw(b, s)
 	}
 	if s.HasUniformMids() {
 		b = append(b, flagQUniform)
@@ -396,7 +352,7 @@ func appendEstimatorQuant(b []byte, s *bayes.State) []byte {
 	} else {
 		first, last := s.Mids[0], s.Mids[u-1]
 		if !(first > 0 && first < 1) || !(last > first && last < 1) {
-			return appendEstimator(b, s)
+			return appendEstimatorRaw(b, s)
 		}
 		b = append(b, flagQWindow)
 		b = binary.AppendUvarint(b, uint64(u))
@@ -407,9 +363,10 @@ func appendEstimatorQuant(b []byte, s *bayes.State) []byte {
 		}
 	}
 	scale := bayes.BeliefQuantScale(s.LogBeliefs)
+	bq := bayes.NewBeliefQuant(scale)
 	b = appendFloat(b, scale)
 	for _, lb := range s.LogBeliefs {
-		b = binary.LittleEndian.AppendUint16(b, bayes.QuantizeBelief(lb, scale))
+		b = binary.LittleEndian.AppendUint16(b, bq.Code(lb))
 	}
 	return b
 }
@@ -419,9 +376,10 @@ func appendEstimatorQuant(b []byte, s *bayes.State) []byte {
 // ---------------------------------------------------------------------------
 
 // estimatorSize is a pre-allocation estimate for one serialized
-// estimator. It deliberately over-estimates by counting the midpoints
-// even when the uniform fast path will omit them, so sizing never pays
-// the uniformity check (appendEstimator computes it exactly once).
+// estimator. It deliberately over-estimates — raw 8-byte beliefs and
+// midpoints, even though the quantized layouts ship 2-byte codes and
+// the uniform grid omits midpoints — so sizing never pays the layout
+// decision (appendEstimator makes it exactly once).
 func estimatorSize(s *bayes.State) int {
 	return 1 + 2*binary.MaxVarintLen32 + 8*len(s.LogBeliefs) + 8*len(s.Mids)
 }
@@ -437,10 +395,8 @@ func snapshotSize(s *knowledge.Snapshot) int {
 	return n
 }
 
-// appendSnapshot writes a snapshot's record section. quant selects the
-// v4 quantized estimator profile; callers must pass false unless the
-// surrounding frame encodes as version 4.
-func appendSnapshot(b []byte, s *knowledge.Snapshot, quant bool) []byte {
+// appendSnapshot writes a snapshot's record section.
+func appendSnapshot(b []byte, s *knowledge.Snapshot) []byte {
 	b = binary.AppendVarint(b, int64(s.From))
 	b = binary.AppendUvarint(b, s.Seq)
 	b = binary.AppendUvarint(b, uint64(len(s.Procs)))
@@ -448,11 +404,7 @@ func appendSnapshot(b []byte, s *knowledge.Snapshot, quant bool) []byte {
 		pr := &s.Procs[i]
 		b = binary.AppendVarint(b, int64(pr.ID))
 		b = binary.AppendVarint(b, int64(pr.Dist))
-		if quant {
-			b = appendEstimatorQuant(b, &pr.Est)
-		} else {
-			b = appendEstimator(b, &pr.Est)
-		}
+		b = appendEstimator(b, &pr.Est)
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.Links)))
 	for i := range s.Links {
@@ -460,11 +412,7 @@ func appendSnapshot(b []byte, s *knowledge.Snapshot, quant bool) []byte {
 		b = binary.AppendVarint(b, int64(lr.Link.A))
 		b = binary.AppendVarint(b, int64(lr.Link.B))
 		b = binary.AppendVarint(b, int64(lr.Dist))
-		if quant {
-			b = appendEstimatorQuant(b, &lr.Est)
-		} else {
-			b = appendEstimator(b, &lr.Est)
-		}
+		b = appendEstimator(b, &lr.Est)
 	}
 	return b
 }
@@ -518,51 +466,33 @@ func deltaSize(d *KnowledgeDelta) int {
 
 // appendDelta lays out the version bookkeeping before the record set, so
 // the fixed-cost liveness header of a near-empty steady-state delta stays
-// a handful of bytes. The cadence uvarint exists only in version-2+
-// frames (version-1 frames imply cadence 1); the epoch uvarint only in
-// version-3 frames (earlier versions imply epoch 0); the caps uvarint
-// only in version-4 frames.
-func appendDelta(b []byte, d *KnowledgeDelta, ver byte, quant bool) []byte {
-	return appendSnapshot(appendDeltaHeader(b, d, ver), d.Snap, quant)
+// a handful of bytes.
+func appendDelta(b []byte, d *KnowledgeDelta) []byte {
+	return appendSnapshot(appendDeltaHeader(b, d), d.Snap)
 }
 
 // appendDeltaHeader writes the delta's version bookkeeping without its
 // record section, so the shared-cut fast path (AppendDeltaFrame) can
 // splice a snapshot section that was encoded once for a whole group of
 // neighbors.
-func appendDeltaHeader(b []byte, d *KnowledgeDelta, ver byte) []byte {
+func appendDeltaHeader(b []byte, d *KnowledgeDelta) []byte {
 	b = binary.AppendUvarint(b, d.Since)
 	b = binary.AppendUvarint(b, d.Ver)
 	b = binary.AppendUvarint(b, d.Ack)
-	if ver >= version2 {
-		b = binary.AppendUvarint(b, d.Cadence)
-	}
-	if ver >= version3 {
-		b = binary.AppendUvarint(b, d.Epoch)
-	}
-	if ver >= version4 {
-		b = binary.AppendUvarint(b, d.Caps)
-	}
-	return b
+	b = binary.AppendUvarint(b, d.Cadence)
+	return binary.AppendUvarint(b, d.Epoch)
 }
 
-func (r *reader) delta(ver byte) *KnowledgeDelta {
+func (r *reader) delta() *KnowledgeDelta {
 	d := &KnowledgeDelta{
 		Since:   r.uvarint(),
 		Ver:     r.uvarint(),
 		Ack:     r.uvarint(),
-		Cadence: 1,
+		Cadence: r.uvarint(),
+		Epoch:   r.uvarint(),
 	}
-	if ver >= version2 {
-		if d.Cadence = r.uvarint(); d.Cadence == 0 {
-			d.Cadence = 1 // 0 and 1 both mean the classic one frame per δ
-		}
-	}
-	if ver >= version3 {
-		d.Epoch = r.uvarint()
-	}
-	if ver >= version4 {
-		d.Caps = r.caps()
+	if d.Cadence == 0 {
+		d.Cadence = 1 // 0 and 1 both mean the classic one frame per δ
 	}
 	d.Snap = r.snapshot()
 	if r.err != nil {
@@ -584,7 +514,7 @@ func dataSize(m *DataMsg) int {
 	return n
 }
 
-func appendData(b []byte, m *DataMsg, ver byte) []byte {
+func appendData(b []byte, m *DataMsg) []byte {
 	b = binary.AppendVarint(b, int64(m.Origin))
 	b = binary.AppendUvarint(b, m.Seq)
 	b = binary.AppendVarint(b, int64(m.Root))
@@ -599,20 +529,15 @@ func appendData(b []byte, m *DataMsg, ver byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(m.Body)))
 	b = append(b, m.Body...)
 	if m.Piggyback != nil {
-		// Data frames never encode as v4 (they are relayed verbatim across
-		// mixed-capability peers), so the piggyback is always raw-profile.
 		b = append(b, 1)
-		b = appendSnapshot(b, m.Piggyback, false)
+		b = appendSnapshot(b, m.Piggyback)
 	} else {
 		b = append(b, 0)
 	}
-	if ver >= version3 {
-		b = binary.AppendUvarint(b, m.Epoch)
-	}
-	return b
+	return binary.AppendUvarint(b, m.Epoch)
 }
 
-func (r *reader) data(ver byte) *DataMsg {
+func (r *reader) data() *DataMsg {
 	m := &DataMsg{
 		Origin: r.nodeID(),
 		Seq:    r.uvarint(),
@@ -645,9 +570,7 @@ func (r *reader) data(ver byte) *DataMsg {
 	default:
 		r.fail("bad piggyback flag")
 	}
-	if ver >= version3 {
-		m.Epoch = r.uvarint()
-	}
+	m.Epoch = r.uvarint()
 	if r.err != nil {
 		return nil
 	}
@@ -659,10 +582,10 @@ func (r *reader) data(ver byte) *DataMsg {
 // ---------------------------------------------------------------------------
 
 func membershipSize(m *Membership) int {
-	return (6 + len(m.Departed) + len(m.Neighbors)) * binary.MaxVarintLen64
+	return (5 + len(m.Departed) + len(m.Neighbors)) * binary.MaxVarintLen64
 }
 
-func appendMembership(b []byte, m *Membership, ver byte) []byte {
+func appendMembership(b []byte, m *Membership) []byte {
 	b = binary.AppendVarint(b, int64(m.Node))
 	b = binary.AppendUvarint(b, m.Epoch)
 	b = binary.AppendUvarint(b, uint64(m.NumProcs))
@@ -673,9 +596,6 @@ func appendMembership(b []byte, m *Membership, ver byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(m.Neighbors)))
 	for _, nb := range m.Neighbors {
 		b = binary.AppendVarint(b, int64(nb))
-	}
-	if ver >= version4 {
-		b = binary.AppendUvarint(b, m.Caps)
 	}
 	return b
 }
@@ -705,9 +625,6 @@ func (r *reader) membership() *Membership {
 	for i := 0; i < nNbs && r.err == nil; i++ {
 		m.Neighbors = append(m.Neighbors, r.nodeID())
 	}
-	if r.ver >= version4 {
-		m.Caps = r.caps()
-	}
 	if r.err != nil {
 		return nil
 	}
@@ -717,55 +634,6 @@ func (r *reader) membership() *Membership {
 // ---------------------------------------------------------------------------
 // Frames
 // ---------------------------------------------------------------------------
-
-// frameVersion picks the wire version a frame encodes as. The rule is
-// always "oldest layout that can carry the payload", so static-cluster
-// frames stay byte-identical to v1/v2 peers (the golden interop test
-// pins this).
-func frameVersion(f *Frame) byte {
-	switch f.Kind {
-	case FrameHeartbeat:
-		if f.Caps > 0 {
-			// Only a capability advert (and the quantized profile it
-			// unlocks) needs the v4 layout.
-			return version4
-		}
-	case FrameData:
-		if f.Data.Epoch > 0 {
-			// Only a grown/shrunk cluster needs the epoch fence; static
-			// clusters stay byte-identical to v1 peers.
-			return version3
-		}
-	case FrameKnowledgeDelta:
-		return deltaVersion(f.Delta)
-	case FrameJoin:
-		if f.Member.Caps > 0 {
-			return version4
-		}
-		// Membership kinds exist only since v3; no older layout to match.
-		return version3
-	case FrameLeave:
-		return version3
-	}
-	return version
-}
-
-// deltaVersion is frameVersion for the delta payload alone, shared with
-// the pre-encoded-section fast path (AppendDeltaFrame).
-func deltaVersion(d *KnowledgeDelta) byte {
-	if d.Caps > 0 {
-		return version4
-	}
-	if d.Epoch > 0 {
-		return version3
-	}
-	if d.Cadence > 1 {
-		// Only a stretched cadence needs the v2 layout; the classic
-		// one-frame-per-δ delta stays byte-identical to v1 peers.
-		return version2
-	}
-	return version
-}
 
 // frameSize over-estimates the encoded size of a validated frame, for
 // pre-sizing fresh buffers.
@@ -787,21 +655,17 @@ func frameSize(f *Frame) int {
 // appendFrameBytes appends the full encoding (header + payload) of a
 // validated frame to b. It allocates nothing beyond growing b.
 func appendFrameBytes(b []byte, f *Frame) []byte {
-	ver := frameVersion(f)
-	quant := f.Quant && ver >= version4
-	b = append(b, magic, ver, byte(f.Kind))
+	b = append(b, magic, version, byte(f.Kind))
 	switch f.Kind {
 	case FrameHeartbeat:
-		if ver >= version4 {
-			b = binary.AppendUvarint(b, f.Caps)
-		}
-		b = appendSnapshot(b, f.Heartbeat, quant)
+		b = binary.AppendUvarint(b, f.Epoch)
+		b = appendSnapshot(b, f.Heartbeat)
 	case FrameData:
-		b = appendData(b, f.Data, ver)
+		b = appendData(b, f.Data)
 	case FrameKnowledgeDelta:
-		b = appendDelta(b, f.Delta, ver, quant)
+		b = appendDelta(b, f.Delta)
 	case FrameJoin, FrameLeave:
-		b = appendMembership(b, f.Member, ver)
+		b = appendMembership(b, f.Member)
 	}
 	return b
 }
@@ -817,30 +681,20 @@ func decodeBinary(b []byte, borrow bool) (*Frame, error) {
 	if b[0] != magic {
 		return nil, fmt.Errorf("wire: bad magic %#x", b[0])
 	}
-	if b[1] < version || b[1] > version4 {
+	if b[1] != version {
 		return nil, fmt.Errorf("wire: unsupported version %d", b[1])
 	}
 	f := &Frame{Kind: FrameKind(b[2])}
-	r := &reader{b: b, off: headerSize, ver: b[1], borrow: borrow}
+	r := &reader{b: b, off: headerSize, borrow: borrow}
 	switch f.Kind {
 	case FrameHeartbeat:
-		if r.ver >= version4 {
-			f.Caps = r.caps()
-		}
+		f.Epoch = r.uvarint()
 		f.Heartbeat = r.snapshot()
 	case FrameData:
-		if r.ver >= version4 {
-			// Data frames are encoded once and relayed verbatim across
-			// peers with mixed capabilities; they never ride v4.
-			return nil, errors.New("wire: data frame at version 4")
-		}
-		f.Data = r.data(b[1])
+		f.Data = r.data()
 	case FrameKnowledgeDelta:
-		f.Delta = r.delta(b[1])
+		f.Delta = r.delta()
 	case FrameJoin, FrameLeave:
-		if b[1] < version3 {
-			return nil, fmt.Errorf("wire: membership frame at version %d", b[1])
-		}
 		f.Member = r.membership()
 	default:
 		return nil, fmt.Errorf("wire: unknown frame kind %d", f.Kind)

@@ -24,8 +24,8 @@ type CorpusSeed struct {
 
 // CorpusSeeds returns every committed FuzzDecode corpus seed, sorted by
 // name. The corpus is the codec's catalog of hostile-but-historical
-// inputs: every frame shape every wire version ever produced, exactly as
-// a malicious or ancient peer could replay them.
+// inputs: every frame shape the wire format produces, exactly as a
+// malicious peer could replay them.
 func CorpusSeeds() ([]CorpusSeed, error) {
 	const dir = "testdata/fuzz/FuzzDecode"
 	entries, err := corpusFS.ReadDir(dir)

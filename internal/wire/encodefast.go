@@ -8,7 +8,7 @@ package wire
 // forward splice (relays reuse the already-encoded data-message bytes
 // instead of re-serializing per hop). Every function here produces
 // byte-identical output to Encode for the same logical frame; the
-// golden interop and byte-equality tests pin that.
+// byte-equality tests pin that.
 
 import (
 	"errors"
@@ -37,45 +37,24 @@ func EncodeInto(buf []byte, f *Frame) ([]byte, error) {
 }
 
 // AppendSnapshotSection appends the wire form of a knowledge snapshot's
-// record section to dst, in the raw (float64) estimator profile. The
-// raw section layout is identical across all wire versions, which is
-// what makes shared delta cuts sound: encode the section once per
-// acked-base group of neighbors, then build each neighbor's frame around
-// it with AppendDeltaFrame — per-neighbor fields (Ack, Cadence) and even
-// the frame version may differ without invalidating the shared bytes.
-//
-// The quantized profile is the one exception: its estimator layouts are
-// legal only inside version-4 frames, so a section encoded with
-// AppendSnapshotSectionQuantized may only be spliced under a delta whose
-// Caps is set. The node keys its shared-section cache on (cut, profile)
-// accordingly.
+// record section to dst. The section does not depend on the frame
+// around it, which is what makes shared delta cuts sound: encode the
+// section once per acked-base group of neighbors, then build each
+// neighbor's frame around it with AppendDeltaFrame — per-neighbor
+// fields (Ack, Cadence) may differ without invalidating the shared
+// bytes.
 func AppendSnapshotSection(dst []byte, s *knowledge.Snapshot) ([]byte, error) {
 	if s == nil {
 		return dst, errors.New("wire: nil snapshot")
 	}
-	return appendSnapshot(dst, s, false), nil
-}
-
-// AppendSnapshotSectionQuantized is AppendSnapshotSection in the v4
-// quantized belief profile: uint16 fixed-point beliefs and refined
-// midpoints over shared scales (see internal/bayes/quant.go). The
-// resulting section may only ride version-4 frames — splice it only
-// under deltas carrying a capability advert, toward peers that
-// advertised v4 themselves.
-func AppendSnapshotSectionQuantized(dst []byte, s *knowledge.Snapshot) ([]byte, error) {
-	if s == nil {
-		return dst, errors.New("wire: nil snapshot")
-	}
-	return appendSnapshot(dst, s, true), nil
+	return appendSnapshot(dst, s), nil
 }
 
 // AppendDeltaFrame appends a complete knowledge-delta frame to dst,
 // splicing in a record section pre-encoded with AppendSnapshotSection
-// (or, when d.Caps is set, either section profile — the quantized one
-// requires it) of d.Snap's records; d.Snap itself is not read and may be
-// nil. The output is byte-identical to AppendFrame of the equivalent
-// frame — version selection follows the same rules — at the cost of one
-// header instead of a full snapshot walk per neighbor.
+// of d.Snap's records; d.Snap itself is not read and may be nil. The
+// output is byte-identical to AppendFrame of the equivalent frame, at
+// the cost of one header instead of a full snapshot walk per neighbor.
 func AppendDeltaFrame(dst []byte, d *KnowledgeDelta, snapSection []byte) ([]byte, error) {
 	if d == nil {
 		return dst, errors.New("wire: nil delta")
@@ -86,12 +65,8 @@ func AppendDeltaFrame(dst []byte, d *KnowledgeDelta, snapSection []byte) ([]byte
 	if d.Cadence > MaxCadence {
 		return dst, fmt.Errorf("wire: cadence %d exceeds the %d-period bound", d.Cadence, MaxCadence)
 	}
-	if d.Caps != 0 && (d.Caps < CapsQuantized || d.Caps > MaxCaps) {
-		return dst, fmt.Errorf("wire: caps %d outside [%d,%d]", d.Caps, CapsQuantized, MaxCaps)
-	}
-	ver := deltaVersion(d)
-	dst = append(dst, magic, ver, byte(FrameKnowledgeDelta))
-	dst = appendDeltaHeader(dst, d, ver)
+	dst = append(dst, magic, version, byte(FrameKnowledgeDelta))
+	dst = appendDeltaHeader(dst, d)
 	return append(dst, snapSection...), nil
 }
 
@@ -100,9 +75,7 @@ func AppendDeltaFrame(dst []byte, d *KnowledgeDelta, snapSection []byte) ([]byte
 // replaced by snap (nil clears it). Everything outside the piggyback
 // section is copied verbatim, so a piggybacking relay re-serializes
 // only its own snapshot, never the message prefix (origin, sequence,
-// tree, allocation, body) or the epoch suffix. The frame version is
-// raw's: the version depends only on the epoch, which a relay never
-// changes (the epoch gate admitted the frame at our own epoch).
+// tree, allocation, body) or the epoch suffix.
 func SpliceDataPiggyback(dst, raw []byte, snap *knowledge.Snapshot) ([]byte, error) {
 	flagOff, pbEnd, err := dataSpliceBounds(raw)
 	if err != nil {
@@ -110,10 +83,8 @@ func SpliceDataPiggyback(dst, raw []byte, snap *knowledge.Snapshot) ([]byte, err
 	}
 	dst = append(dst, raw[:flagOff]...)
 	if snap != nil {
-		// Data frames never ride v4 (the splice output keeps raw's
-		// version), so the snapshot is always raw-profile.
 		dst = append(dst, 1)
-		dst = appendSnapshot(dst, snap, false)
+		dst = appendSnapshot(dst, snap)
 	} else {
 		dst = append(dst, 0)
 	}
@@ -131,6 +102,9 @@ func dataSpliceBounds(raw []byte) (flagOff, pbEnd int, err error) {
 	}
 	if raw[0] != magic {
 		return 0, 0, fmt.Errorf("wire: bad magic %#x", raw[0])
+	}
+	if raw[1] != version {
+		return 0, 0, fmt.Errorf("wire: unsupported version %d", raw[1])
 	}
 	if FrameKind(raw[2]) != FrameData {
 		return 0, 0, fmt.Errorf("wire: splice on non-data frame kind %d", raw[2])
@@ -198,6 +172,19 @@ func (r *reader) skipEstimator() {
 		r.uvarint() // interval count; nothing allocated, nothing to clamp
 	case flagRefined:
 		r.skip(8*r.count("midpoints"), "midpoints")
+	case flagQUniform:
+		// Shared scale plus one code per interval.
+		r.skip(8+2*r.count("quantized grid"), "quantized beliefs")
+		return
+	case flagQWindow:
+		// Exact first/last midpoints, interior midpoint codes, shared
+		// scale, one belief code per interval.
+		u := r.count("quantized window")
+		if r.err == nil && u < 2 {
+			r.fail("quantized window count %d invalid", u)
+		}
+		r.skip(16+2*(u-2)+8+2*u, "quantized window")
+		return
 	default:
 		r.fail("unknown estimator flags %#x", flags)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // TestAppendFrameMatchesEncode pins the core contract of the fast path:
-// for every canonical frame (all kinds, all wire versions), AppendFrame
+// for every canonical frame (all kinds), AppendFrame
 // and EncodeInto produce bytes identical to Encode, and AppendFrame
 // leaves an existing prefix untouched.
 func TestAppendFrameMatchesEncode(t *testing.T) {
@@ -73,14 +73,7 @@ func TestAppendDeltaFrameMatchesEncode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: Encode: %v", i, err)
 		}
-		// The section profile follows the frame's: quantized seeds splice
-		// a quantized section (the (cut, profile) cache key Tick uses).
-		var section []byte
-		if f.Quant {
-			section, err = AppendSnapshotSectionQuantized(nil, f.Delta.Snap)
-		} else {
-			section, err = AppendSnapshotSection(nil, f.Delta.Snap)
-		}
+		section, err := AppendSnapshotSection(nil, f.Delta.Snap)
 		if err != nil {
 			t.Fatalf("seed %d: snapshot section: %v", i, err)
 		}
@@ -115,7 +108,7 @@ func spliceSnapshots(t *testing.T) (a, b *knowledge.Snapshot) {
 
 // TestSpliceDataPiggyback: replacing, adding, or stripping the piggyback
 // section of an encoded data frame is byte-identical to re-encoding the
-// frame with the new snapshot, for both plain (v1) and epoch-tagged (v3)
+// frame with the new snapshot, for both static-cluster and epoch-tagged
 // data frames.
 func TestSpliceDataPiggyback(t *testing.T) {
 	snapA, snapB := spliceSnapshots(t)

@@ -12,8 +12,8 @@ import (
 )
 
 // paperSnapshot builds a snapshot at the paper's estimator precision
-// (U = 100) with a few links, the shape whose size the quantized profile
-// is designed around.
+// (U = 100) with a few links, the shape whose size the quantized layouts
+// are designed around.
 func paperSnapshot(t *testing.T) *knowledge.Snapshot {
 	t.Helper()
 	v, err := knowledge.NewView(1, 8, []topology.NodeID{0, 2}, nil, knowledge.Params{Intervals: 100})
@@ -26,26 +26,38 @@ func paperSnapshot(t *testing.T) *knowledge.Snapshot {
 	return v.Snapshot()
 }
 
-// TestQuantizedHeartbeatSizeRatio pins the tentpole's wire-level win: at
-// the paper's U = 100, a quantized v4 heartbeat must be at least 1.7x
-// smaller than the raw encoding of the same snapshot (measured ~3.7x —
+// rawLayoutLen is the length a frame of quantLen bytes carrying snapshot
+// s would have if every estimator used the raw float64 layouts (the
+// encoder's fallback for degenerate states): the reference the quantized
+// layouts are measured against.
+func rawLayoutLen(quantLen int, s *knowledge.Snapshot) int {
+	n := quantLen
+	for i := range s.Procs {
+		n += len(appendEstimatorRaw(nil, &s.Procs[i].Est)) - len(appendEstimator(nil, &s.Procs[i].Est))
+	}
+	for i := range s.Links {
+		n += len(appendEstimatorRaw(nil, &s.Links[i].Est)) - len(appendEstimator(nil, &s.Links[i].Est))
+	}
+	return n
+}
+
+// TestQuantizedHeartbeatSizeRatio pins the quantized layouts' wire-level
+// win: at the paper's U = 100, a full heartbeat must be at least 1.7x
+// smaller than the raw layout of the same snapshot (measured ~3.7x —
 // 2-byte codes replace 8-byte floats for every belief).
 func TestQuantizedHeartbeatSizeRatio(t *testing.T) {
 	snap := paperSnapshot(t)
-	raw, err := Encode(&Frame{Kind: FrameHeartbeat, Heartbeat: snap})
+	quant, err := Encode(&Frame{Kind: FrameHeartbeat, Heartbeat: snap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	quant, err := Encode(&Frame{Kind: FrameHeartbeat, Heartbeat: snap, Caps: CapsQuantized, Quant: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := float64(len(raw)) / float64(len(quant))
+	raw := rawLayoutLen(len(quant), snap)
+	ratio := float64(raw) / float64(len(quant))
 	if ratio < 1.7 {
 		t.Errorf("quantized heartbeat is %dB vs %dB raw — only %.2fx smaller, want >= 1.7x",
-			len(quant), len(raw), ratio)
+			len(quant), raw, ratio)
 	}
-	t.Logf("U=100 heartbeat: raw %dB, quantized %dB (%.2fx smaller)", len(raw), len(quant), ratio)
+	t.Logf("U=100 heartbeat: raw %dB, quantized %dB (%.2fx smaller)", raw, len(quant), ratio)
 }
 
 // TestQuantErrorBound is the satellite property test: across random
@@ -75,7 +87,7 @@ func TestQuantErrorBound(t *testing.T) {
 				From: 1, Seq: uint64(trial + 1),
 				Procs: []knowledge.ProcRecord{{ID: 0, Dist: 1, Est: est.State()}},
 			}
-			frame := &Frame{Kind: FrameHeartbeat, Heartbeat: snap, Caps: CapsQuantized, Quant: true}
+			frame := &Frame{Kind: FrameHeartbeat, Heartbeat: snap}
 			b, err := Encode(frame)
 			if err != nil {
 				t.Fatal(err)
@@ -94,7 +106,6 @@ func TestQuantErrorBound(t *testing.T) {
 			}
 			// Second hop: re-encoding the decoded state must reproduce the
 			// bytes exactly — multi-hop relays accumulate no further error.
-			f.Quant, f.Caps = true, CapsQuantized
 			b2, err := Encode(f)
 			if err != nil {
 				t.Fatal(err)
@@ -120,7 +131,7 @@ func TestQuantizedDecodeRenormalizes(t *testing.T) {
 		From: 1, Seq: 1,
 		Procs: []knowledge.ProcRecord{{ID: 0, Dist: 1, Est: st}},
 	}
-	b, err := Encode(&Frame{Kind: FrameHeartbeat, Heartbeat: snap, Caps: CapsQuantized, Quant: true})
+	b, err := Encode(&Frame{Kind: FrameHeartbeat, Heartbeat: snap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,93 +159,19 @@ func TestQuantizedDecodeRenormalizes(t *testing.T) {
 	}
 }
 
-// TestCapsValidation pins the well-formedness rules of the capability
-// field and the quantized-profile directive across frame kinds.
-func TestCapsValidation(t *testing.T) {
-	snap := &knowledge.Snapshot{From: 1, Seq: 3}
-	bad := []struct {
-		name string
-		f    *Frame
-	}{
-		{"heartbeat caps below v4", &Frame{Kind: FrameHeartbeat, Heartbeat: snap, Caps: 3}},
-		{"heartbeat caps beyond max", &Frame{Kind: FrameHeartbeat, Heartbeat: snap, Caps: MaxCaps + 1}},
-		{"caps on a data frame", &Frame{Kind: FrameData, Caps: CapsQuantized,
-			Data: &DataMsg{Origin: 0, Seq: 1, Root: 0, Body: []byte("x")}}},
-		{"quantized heartbeat without caps", &Frame{Kind: FrameHeartbeat, Heartbeat: snap, Quant: true}},
-		{"quantized delta without caps", &Frame{Kind: FrameKnowledgeDelta, Quant: true,
-			Delta: &KnowledgeDelta{Snap: snap, Ver: 2}}},
-		{"quantized data frame", &Frame{Kind: FrameData, Quant: true,
-			Data: &DataMsg{Origin: 0, Seq: 1, Root: 0, Body: []byte("x")}}},
-		{"delta caps below v4", &Frame{Kind: FrameKnowledgeDelta,
-			Delta: &KnowledgeDelta{Snap: snap, Ver: 2, Caps: 2}}},
-		{"leave with caps", &Frame{Kind: FrameLeave,
-			Member: &Membership{Node: 1, Epoch: 2, NumProcs: 3, Departed: []topology.NodeID{1}, Caps: CapsQuantized}}},
-		{"join caps beyond max", &Frame{Kind: FrameJoin,
-			Member: &Membership{Node: 2, Epoch: 2, NumProcs: 3, Neighbors: []topology.NodeID{0}, Caps: 300}}},
-	}
-	for _, c := range bad {
-		if _, err := Encode(c.f); err == nil {
-			t.Errorf("%s: Encode should fail", c.name)
-		}
-	}
-}
-
-// TestV4DataFrameRejected pins the mixed-cluster invariant that keeps
-// relays sound: data frames are encoded once and forwarded verbatim
-// across peers of unknown capability, so a version-4 data frame must
-// never exist — decoders drop it outright.
-func TestV4DataFrameRejected(t *testing.T) {
-	b, err := Encode(&Frame{Kind: FrameData, Data: &DataMsg{Origin: 0, Seq: 1, Root: 0, Body: []byte("x")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	forged := append([]byte(nil), b...)
-	forged[1] = version4
-	if _, err := Decode(forged); err == nil {
-		t.Error("version-4 data frame should fail to decode")
-	}
-}
-
-// TestNonCapsFramesStayLegacy pins the negotiation ladder's floor: every
-// frame without a capability advert — whatever else it carries — encodes
-// at wire version <= 3, byte-compatible with peers that predate v4. (The
-// epoch golden tests additionally pin the exact bytes of the static
-// shapes; this covers every seed shape.)
-func TestNonCapsFramesStayLegacy(t *testing.T) {
-	for i, f := range seedFrames(t) {
-		caps := f.Caps
-		switch f.Kind {
-		case FrameKnowledgeDelta:
-			caps = f.Delta.Caps
-		case FrameJoin, FrameLeave:
-			caps = f.Member.Caps
-		}
-		if caps != 0 {
-			continue
-		}
-		b, err := Encode(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b[1] > version3 {
-			t.Errorf("seed %d (kind %d) without caps encoded at version %d", i, f.Kind, b[1])
-		}
-	}
-}
-
 // TestQuantizedSectionZeroAlloc extends the zero-alloc encode gate to
-// the quantized profile: cutting a quantized snapshot section into a
-// warm buffer, and assembling a v4 delta frame around a shared section,
-// allocate nothing.
+// the quantized layouts: cutting a snapshot section at the paper's U =
+// 100 into a warm buffer, and assembling a delta frame around a shared
+// section, allocate nothing.
 func TestQuantizedSectionZeroAlloc(t *testing.T) {
 	snap := paperSnapshot(t)
 	buf := make([]byte, 0, 16384)
-	section, err := AppendSnapshotSectionQuantized(buf, snap)
+	section, err := AppendSnapshotSection(buf, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := AppendSnapshotSectionQuantized(buf[:0], snap); err != nil {
+		if _, err := AppendSnapshotSection(buf[:0], snap); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -242,7 +179,7 @@ func TestQuantizedSectionZeroAlloc(t *testing.T) {
 		t.Fatalf("quantized section encode allocated %.1f times per op, want 0", allocs)
 	}
 
-	d := &KnowledgeDelta{Since: 3, Ver: 5, Ack: 9, Cadence: 2, Epoch: 4, Caps: CapsQuantized}
+	d := &KnowledgeDelta{Since: 3, Ver: 5, Ack: 9, Cadence: 2, Epoch: 4}
 	fbuf := make([]byte, 0, len(section)+256)
 	allocs = testing.AllocsPerRun(100, func() {
 		if _, err := AppendDeltaFrame(fbuf[:0], d, section); err != nil {
@@ -250,6 +187,6 @@ func TestQuantizedSectionZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("v4 delta-frame assembly allocated %.1f times per op, want 0", allocs)
+		t.Fatalf("delta-frame assembly allocated %.1f times per op, want 0", allocs)
 	}
 }

@@ -7,11 +7,9 @@
 // allocation (Algorithm 1's (m, mrt_j)).
 //
 // Encoding is a compact hand-rolled binary format (see binary.go): a
-// 3-byte versioned header followed by varint-coded integers and raw IEEE
-// 754 floats, with a fast path that ships only the interval count for
-// Bayesian estimators on the standard uniform grid. The previous
-// stdlib-gob codec is retained as EncodeGob/DecodeGob for benchmarks and
-// size comparisons; it is not used on any live path.
+// 3-byte versioned header followed by varint-coded integers, with
+// Bayesian estimator beliefs shipped as uint16 fixed-point codes over a
+// shared scale (the quantized belief layouts; see internal/bayes/quant.go).
 //
 // The allocation is keyed by child node (AllocByNode) rather than by edge
 // index, so the receiver may rebuild the tree in any deterministic order
@@ -19,8 +17,6 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 
@@ -32,25 +28,23 @@ import (
 type FrameKind uint8
 
 // Frame kinds. The wirekind analyzer (run by cmd/adaptivelint in CI)
-// reads the annotations: each constant declares the wire versions it may
-// ride, every declared kind×version pair must be witnessed by a
+// reads the annotations: each constant declares the wire version it
+// rides, every declared kind×version pair must be witnessed by a
 // committed FuzzDecode corpus seed, and every switch over a FrameKind
 // must stay exhaustive — so a new kind cannot ship without fuzz coverage
 // and codec/dispatch cases.
 //
 //adaptivelint:wirecorpus dir=testdata/fuzz/FuzzDecode magic=0xAC
 const (
-	FrameHeartbeat      FrameKind = iota + 1 //adaptivelint:wirekind versions=1,4
-	FrameData                                //adaptivelint:wirekind versions=1,3
-	FrameKnowledgeDelta                      //adaptivelint:wirekind versions=1,2,3,4
+	FrameHeartbeat      FrameKind = iota + 1 //adaptivelint:wirekind versions=5
+	FrameData                                //adaptivelint:wirekind versions=5
+	FrameKnowledgeDelta                      //adaptivelint:wirekind versions=5
 	// FrameJoin announces a membership epoch change that added a process;
 	// FrameLeave one that removed a process. Both carry a Membership
-	// payload and encode as wire version 3 — or 4 when the join advertises
-	// the subject's capabilities. Receivers flood them so every member
-	// converges on the new epoch; the epoch number itself dedups the
-	// flood.
-	FrameJoin  //adaptivelint:wirekind versions=3,4
-	FrameLeave //adaptivelint:wirekind versions=3
+	// payload. Receivers flood them so every member converges on the new
+	// epoch; the epoch number itself dedups the flood.
+	FrameJoin  //adaptivelint:wirekind versions=5
+	FrameLeave //adaptivelint:wirekind versions=5
 )
 
 // Membership is the payload of FrameJoin and FrameLeave: a complete
@@ -76,11 +70,6 @@ type Membership struct {
 	NumProcs  int
 	Departed  []topology.NodeID
 	Neighbors []topology.NodeID
-	// Caps advertises the subject's highest supported wire version (the
-	// v4 capability negotiation; see CapsQuantized). 0 omits it and the
-	// frame encodes as version 3, byte-identical to pre-caps peers. Only
-	// join frames may carry it — a leaver has nothing to negotiate.
-	Caps uint64
 }
 
 // KnowledgeDelta is the delta-heartbeat payload: a partial knowledge
@@ -102,19 +91,15 @@ type Membership struct {
 // Cadence declares, in heartbeat periods, the gap the sender plans until
 // its next frame to this recipient (the adaptive-cadence stretch; see
 // the node's cadence controller). 0 and 1 both mean one frame per period
-// — the classic cadence — and encode as a version-1 frame, byte-identical
-// to pre-cadence peers' wire format; Cadence > 1 rides a version-2 frame,
-// and the receiver scales its expected-arrival accounting (suspicion
-// timeouts and sequence-gap loss bookkeeping) by it so a stretched
-// neighbor is neither falsely suspected nor over-counted as lossy. A
-// sender may break the promise early (snap back on a view change), which
-// is always safe: an early frame shows a smaller-than-declared gap, which
-// books no loss.
-// Epoch is the sender's membership epoch (see Membership). 0 — the
-// static-cluster case — encodes exactly as before epochs existed (wire
-// version 1 or 2), so pre-epoch peers interoperate untouched; a positive
-// epoch rides a version-3 frame and lets receivers fence frames from
-// other membership views.
+// — the classic cadence; the receiver scales its expected-arrival
+// accounting (suspicion timeouts and sequence-gap loss bookkeeping) by
+// it so a stretched neighbor is neither falsely suspected nor
+// over-counted as lossy. A sender may break the promise early (snap back
+// on a view change), which is always safe: an early frame shows a
+// smaller-than-declared gap, which books no loss.
+// Epoch is the sender's membership epoch (see Membership); 0 is the
+// static-cluster case. Receivers fence frames from other membership
+// views on it.
 type KnowledgeDelta struct {
 	Snap    *knowledge.Snapshot
 	Since   uint64
@@ -122,14 +107,6 @@ type KnowledgeDelta struct {
 	Ack     uint64
 	Cadence uint64
 	Epoch   uint64
-	// Caps advertises the sender's highest supported wire version. 0 —
-	// the pre-negotiation case — encodes exactly as before capabilities
-	// existed (wire version ≤ 3); a nonzero value rides a version-4 frame
-	// and unlocks the quantized belief profile for the record section.
-	// The node sets it only toward peers that have advertised v4
-	// themselves, or as a periodic capability hello toward peers whose
-	// capabilities are still unknown.
-	Caps uint64
 }
 
 // MaxCadence bounds the declared heartbeat cadence a frame may carry.
@@ -137,16 +114,6 @@ type KnowledgeDelta struct {
 // so an unbounded value would let a hostile peer suppress its own failure
 // detection forever; 256 periods is far beyond any sane stretch cap.
 const MaxCadence = 256
-
-// CapsQuantized is the Caps value a node advertising wire v4 (the
-// quantized belief profile) puts on its frames: capability adverts carry
-// the sender's highest supported wire version.
-const CapsQuantized = 4
-
-// MaxCaps bounds the capability value a frame may carry. Caps is a
-// version number, not a bitmask; 255 leaves far more headroom than the
-// format will ever use while keeping hostile values trivially rejectable.
-const MaxCaps = 255
 
 // MaxProcs bounds the ID-space size a membership announcement may
 // declare. Receivers grow their views to NumProcs — one estimator record
@@ -178,8 +145,7 @@ type DataMsg struct {
 	// their own snapshot so distortion accounting matches hop-by-hop
 	// propagation.
 	Piggyback *knowledge.Snapshot
-	// Epoch is the sender's membership epoch; 0 (static cluster) encodes
-	// as a version-1 frame, byte-identical to pre-epoch peers.
+	// Epoch is the sender's membership epoch; 0 is the static cluster.
 	Epoch uint64
 }
 
@@ -191,18 +157,10 @@ type Frame struct {
 	Delta     *KnowledgeDelta
 	// Member carries the FrameJoin / FrameLeave payload.
 	Member *Membership
-	// Caps advertises the sender's highest supported wire version on a
-	// full heartbeat frame (delta and join frames carry their own Caps
-	// field on their payloads). 0 omits it; a nonzero value rides a
-	// version-4 frame.
-	Caps uint64
-	// Quant selects the v4 quantized belief profile for the frame's
-	// snapshot payload. It is an encoder directive, not itself
-	// serialized: decoders materialize dequantized float states and leave
-	// it false. Effective only when the frame encodes as version 4 (a
-	// nonzero Caps); setting it on a non-v4 frame is a validation error
-	// so a profile mismatch cannot slip out silently.
-	Quant bool
+	// Epoch is the sender's membership epoch on a full heartbeat frame
+	// (data and delta frames carry theirs on their payloads, membership
+	// frames announce one). Only FrameHeartbeat may set it.
+	Epoch uint64
 }
 
 // Encode serializes a frame in the binary wire format.
@@ -242,61 +200,14 @@ func decode(b []byte, borrow bool) (*Frame, error) {
 	return f, nil
 }
 
-// EncodeGob serializes a frame with the legacy stdlib-gob codec. It is
-// kept only as the baseline for codec benchmarks and size-regression
-// tests; live nodes always speak the binary format.
-func EncodeGob(f *Frame) ([]byte, error) {
-	if err := validate(f); err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		return nil, fmt.Errorf("wire: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeGob parses a legacy gob frame (benchmark baseline only).
-func DecodeGob(b []byte) (*Frame, error) {
-	var f Frame
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&f); err != nil {
-		return nil, fmt.Errorf("wire: decode: %w", err)
-	}
-	if err := validate(&f); err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
-
 // validate enforces the kind/payload pairing in both directions, so a
 // malformed peer cannot feed nil payloads into the node.
 func validate(f *Frame) error {
 	if f == nil {
 		return errors.New("wire: nil frame")
 	}
-	if f.Caps != 0 {
-		if f.Kind != FrameHeartbeat {
-			return errors.New("wire: frame-level caps on a non-heartbeat frame")
-		}
-		if f.Caps < CapsQuantized || f.Caps > MaxCaps {
-			return fmt.Errorf("wire: caps %d outside [%d,%d]", f.Caps, CapsQuantized, MaxCaps)
-		}
-	}
-	if f.Quant {
-		switch f.Kind {
-		case FrameHeartbeat:
-			if f.Caps == 0 {
-				return errors.New("wire: quantized heartbeat without a capability advert")
-			}
-		case FrameKnowledgeDelta:
-			if f.Delta == nil || f.Delta.Caps == 0 {
-				return errors.New("wire: quantized delta without a capability advert")
-			}
-		case FrameData, FrameJoin, FrameLeave:
-			return errors.New("wire: quantized profile on a frame kind without estimates")
-		default:
-			return errors.New("wire: quantized profile on a frame kind without estimates")
-		}
+	if f.Epoch != 0 && f.Kind != FrameHeartbeat {
+		return errors.New("wire: frame-level epoch on a non-heartbeat frame")
 	}
 	switch f.Kind {
 	case FrameHeartbeat:
@@ -324,9 +235,6 @@ func validate(f *Frame) error {
 		if f.Delta.Cadence > MaxCadence {
 			return fmt.Errorf("wire: cadence %d exceeds the %d-period bound", f.Delta.Cadence, MaxCadence)
 		}
-		if c := f.Delta.Caps; c != 0 && (c < CapsQuantized || c > MaxCaps) {
-			return fmt.Errorf("wire: caps %d outside [%d,%d]", c, CapsQuantized, MaxCaps)
-		}
 	case FrameJoin, FrameLeave:
 		m := f.Member
 		if m == nil || f.Heartbeat != nil || f.Data != nil || f.Delta != nil {
@@ -351,12 +259,6 @@ func validate(f *Frame) error {
 		}
 		if f.Kind == FrameLeave && len(m.Neighbors) != 0 {
 			return errors.New("wire: leave frame carries joiner links")
-		}
-		if f.Kind == FrameLeave && m.Caps != 0 {
-			return errors.New("wire: leave frame carries a capability advert")
-		}
-		if c := m.Caps; c != 0 && (c < CapsQuantized || c > MaxCaps) {
-			return fmt.Errorf("wire: caps %d outside [%d,%d]", c, CapsQuantized, MaxCaps)
 		}
 		for _, nb := range m.Neighbors {
 			if nb < 0 || int(nb) >= m.NumProcs || nb == m.Node {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"adaptivecast/internal/knowledge"
@@ -109,6 +110,8 @@ func TestValidation(t *testing.T) {
 			Parents:     []topology.NodeID{topology.None, 0},
 			AllocByNode: []int32{0},
 		}}},
+		{"frame-level epoch on a data frame", &Frame{Kind: FrameData, Epoch: 2,
+			Data: &DataMsg{Origin: 0, Seq: 1, Root: 0, Body: []byte("x")}}},
 	}
 	for _, c := range cases {
 		if _, err := Encode(c.frame); err == nil {
@@ -175,39 +178,13 @@ func TestRefinedGridRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !framesEqual(&Frame{Kind: FrameHeartbeat, Heartbeat: snap}, f) {
+	if !framesMatch(&Frame{Kind: FrameHeartbeat, Heartbeat: snap}, f, quantTol) {
 		t.Fatal("refined snapshot did not round-trip")
 	}
-}
-
-// TestGobCompat keeps the legacy codec alive for benchmarks: both codecs
-// must accept the same frames, and the binary encoding must be strictly
-// smaller for both frame kinds (the size win is an acceptance criterion
-// of the codec change).
-func TestGobCompat(t *testing.T) {
-	for _, frame := range seedFrames(t) {
-		gobBytes, err := EncodeGob(frame)
-		if err != nil {
-			t.Fatal(err)
+	for i, pr := range snap.Procs {
+		if pr.Est.HasUniformMids() != f.Heartbeat.Procs[i].Est.HasUniformMids() {
+			t.Errorf("proc %d: grid kind changed across the wire", pr.ID)
 		}
-		back, err := DecodeGob(gobBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !framesEqual(frame, back) {
-			t.Fatalf("gob round-trip drift for kind %d", frame.Kind)
-		}
-		binBytes, err := Encode(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(binBytes) >= len(gobBytes) {
-			t.Errorf("kind %d: binary frame is %dB, gob is %dB — binary must be smaller",
-				frame.Kind, len(binBytes), len(gobBytes))
-		}
-		t.Logf("kind %d: binary %dB vs gob %dB (%.0f%% smaller)",
-			frame.Kind, len(binBytes), len(gobBytes),
-			100*(1-float64(len(binBytes))/float64(len(gobBytes))))
 	}
 }
 
@@ -243,48 +220,84 @@ func TestDeltaValidate(t *testing.T) {
 	}
 }
 
-// TestCadenceWireVersioning pins the adaptive-cadence wire contract: an
-// unstretched delta (Cadence absent, 0 or 1) must stay a byte-identical
-// version-1 frame — what pre-cadence peers emit and decode — while a
-// stretched delta rides a version-2 frame that round-trips its cadence.
-func TestCadenceWireVersioning(t *testing.T) {
+// TestCadenceRoundTrip pins the adaptive-cadence field: a stretched
+// delta round-trips its cadence, and an unset or classic cadence (0 or
+// 1) both decode as one frame per period.
+func TestCadenceRoundTrip(t *testing.T) {
 	snap := &knowledge.Snapshot{From: 1, Seq: 3}
-	base := &Frame{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: snap, Since: 2, Ver: 5, Ack: 7}}
-	v1, err := Encode(base)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct{ sent, want uint64 }{{0, 1}, {1, 1}, {8, 8}, {MaxCadence, MaxCadence}} {
+		b, err := Encode(&Frame{Kind: FrameKnowledgeDelta,
+			Delta: &KnowledgeDelta{Snap: snap, Since: 2, Ver: 5, Ack: 7, Cadence: c.sent}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := got.Delta
+		if d.Cadence != c.want || d.Since != 2 || d.Ver != 5 || d.Ack != 7 {
+			t.Errorf("cadence %d: decoded %+v, want cadence %d", c.sent, d, c.want)
+		}
 	}
-	if v1[1] != 1 {
-		t.Fatalf("unstretched delta encoded as wire version %d, want 1", v1[1])
-	}
-	one := &Frame{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: snap, Since: 2, Ver: 5, Ack: 7, Cadence: 1}}
-	if b, err := Encode(one); err != nil {
-		t.Fatal(err)
-	} else if !bytes.Equal(b, v1) {
-		t.Errorf("cadence-1 delta not byte-identical to the pre-cadence layout:\n%x\n%x", b, v1)
-	}
+}
 
-	stretched := &Frame{Kind: FrameKnowledgeDelta, Delta: &KnowledgeDelta{Snap: snap, Since: 2, Ver: 5, Ack: 7, Cadence: 8}}
-	v2, err := Encode(stretched)
+// TestDecodeRejectsOtherVersions pins the one wire format: every frame
+// encodes at version 5, and a header naming any other version — the
+// retired versions 1–4 included — is rejected as unsupported before its
+// payload is read.
+func TestDecodeRejectsOtherVersions(t *testing.T) {
+	for i, f := range seedFrames(t) {
+		b, err := Encode(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b[1] != 5 {
+			t.Fatalf("seed %d (kind %d) encoded at version %d, want 5", i, f.Kind, b[1])
+		}
+		for v := 0; v < 256; v++ {
+			if v == 5 {
+				continue
+			}
+			forged := append([]byte(nil), b...)
+			forged[1] = byte(v)
+			_, err := Decode(forged)
+			if err == nil || !strings.Contains(err.Error(), "unsupported version") {
+				t.Fatalf("seed %d at version %d: got %v, want an unsupported-version error", i, v, err)
+			}
+		}
+	}
+}
+
+// TestDataPiggybackRoundTrip: a data frame's piggybacked snapshot rides
+// the quantized layouts — the frame is smaller than the raw layout of the
+// same snapshot — decodes to within one quantization step, and
+// re-encodes byte-identically after decode, so relays that re-encode a
+// received piggyback add no further error.
+func TestDataPiggybackRoundTrip(t *testing.T) {
+	snap := paperSnapshot(t)
+	f := &Frame{Kind: FrameData, Data: &DataMsg{
+		Origin: 1, Seq: 4, Root: 1, Body: []byte("piggy"), Piggyback: snap, Epoch: 2,
+	}}
+	b, err := Encode(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2[1] != 2 {
-		t.Fatalf("stretched delta encoded as wire version %d, want 2", v2[1])
+	if raw := rawLayoutLen(len(b), snap); len(b)*2 > raw {
+		t.Errorf("piggybacked data frame is %dB, raw layout %dB — piggyback not quantized", len(b), raw)
 	}
-	got, err := Decode(v2)
+	got, err := Decode(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Delta.Cadence != 8 || got.Delta.Since != 2 || got.Delta.Ver != 5 || got.Delta.Ack != 7 {
-		t.Fatalf("stretched delta drifted: %+v", got.Delta)
+	if !framesMatch(f, got, quantTol) {
+		t.Fatal("piggybacked data frame drifted beyond one quantization step")
 	}
-	// And the v1 frame decodes with the implied classic cadence.
-	got1, err := Decode(v1)
+	again, err := Encode(got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got1.Delta.Cadence != 1 {
-		t.Errorf("v1 delta decoded with cadence %d, want implied 1", got1.Delta.Cadence)
+	if !bytes.Equal(b, again) {
+		t.Fatal("decoded piggybacked data frame did not re-encode byte-identically")
 	}
 }
