@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint fmt bench bench-smoke perfbench-smoke scenarios
+.PHONY: all build test race lint fmt examples bench bench-smoke perfbench-smoke scenarios
 
 all: build test lint
 
@@ -15,6 +15,15 @@ race:
 
 fmt:
 	gofmt -w .
+
+# examples runs every example end to end; each one checks its own
+# outcome and exits non-zero on failure.
+EXAMPLES = quickstart exactlyonce pubsub wanreplica convergence
+examples:
+	@for ex in $(EXAMPLES); do \
+		echo "== examples/$$ex"; \
+		$(GO) run ./examples/$$ex || exit 1; \
+	done
 
 # lint mirrors CI's required lint job. staticcheck and govulncheck are
 # not vendored; they run when installed (CI always installs them), so a

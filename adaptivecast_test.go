@@ -57,7 +57,7 @@ func TestClusterBroadcastQuickstart(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	for i := 0; i < c.NumNodes(); i++ {
-		if got := len(c.KnownLinks(NodeID(i))); got != 6 {
+		if got := len(c.Node(NodeID(i)).KnownLinks()); got != 6 {
 			t.Fatalf("node %d knows %d links, want 6", i, got)
 		}
 	}
@@ -71,7 +71,7 @@ func TestClusterBroadcastQuickstart(t *testing.T) {
 	}
 	for i := 0; i < c.NumNodes(); i++ {
 		select {
-		case d := <-c.Deliveries(NodeID(i)):
+		case d := <-c.Node(NodeID(i)).Deliveries():
 			if string(d.Body) != "hello" || d.Origin != 0 {
 				t.Errorf("node %d delivery = %+v", i, d)
 			}
@@ -79,7 +79,7 @@ func TestClusterBroadcastQuickstart(t *testing.T) {
 			t.Fatalf("node %d never delivered", i)
 		}
 	}
-	if c.Stats(0).FallbackFloods != 0 {
+	if c.Node(0).Stats().FallbackFloods != 0 {
 		t.Error("flooded despite discovered topology")
 	}
 }
@@ -107,7 +107,7 @@ func TestClusterLearnsInjectedLoss(t *testing.T) {
 		}
 	}
 	time.Sleep(10 * time.Millisecond)
-	got, _, ok := c.LossEstimate(0, NewLink(0, 1))
+	got, _, ok := c.Node(0).LossEstimate(NewLink(0, 1))
 	if !ok {
 		t.Fatal("link unknown")
 	}
@@ -121,7 +121,10 @@ func TestClusterStartStopsCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCluster(ClusterConfig{Topology: ring, HeartbeatEvery: 2 * time.Millisecond})
+	c, err := NewCluster(ClusterConfig{
+		Topology: ring,
+		Options:  []Option{WithHeartbeat(2 * time.Millisecond)},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +134,7 @@ func TestClusterStartStopsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Heartbeats flowed while running.
-	if c.Stats(0).HeartbeatsSent == 0 {
+	if c.Node(0).Stats().HeartbeatsSent == 0 {
 		t.Error("no heartbeats sent under Start")
 	}
 	if _, _, err := c.Broadcast(0, []byte("x")); err == nil {
@@ -190,7 +193,7 @@ func ExampleCluster() {
 		fmt.Println(err)
 		return
 	}
-	d := <-cluster.Deliveries(3)
+	d := <-cluster.Node(3).Deliveries()
 	fmt.Printf("node 3 got %q from node %d\n", d.Body, d.Origin)
 	// Output: node 3 got "hello, cluster" from node 0
 }

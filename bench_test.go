@@ -407,23 +407,14 @@ func BenchmarkWireEncodeData(b *testing.B) {
 // in-process fabric and ticks it until node 0's view spans the topology
 // and plans a real MRT (no warm-up flood). It is the fixture for the
 // broadcast-throughput benchmarks.
-func benchConvergedCluster(b *testing.B, n, conn int, disableCache bool) *adaptivecast.Cluster {
-	return benchConvergedClusterCfg(b, n, conn, func(cfg *adaptivecast.ClusterConfig) {
-		cfg.DisablePlanCache = disableCache
-	})
-}
-
-// benchConvergedClusterCfg is benchConvergedCluster with a config hook,
-// so send-path benchmarks can toggle the lane scheduler on the same
-// converged fixture.
-func benchConvergedClusterCfg(b *testing.B, n, conn int, mutate func(*adaptivecast.ClusterConfig)) *adaptivecast.Cluster {
+func benchConvergedCluster(b *testing.B, n, conn int) *adaptivecast.Cluster {
 	b.Helper()
 	rng := rand.New(rand.NewSource(23))
 	g, err := adaptivecast.RandomConnected(n, conn, rng)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return benchConvergeGraph(b, g, mutate)
+	return benchConvergeGraph(b, g, nil)
 }
 
 // benchConvergeGraph builds a cluster over an explicit graph and runs it
@@ -431,8 +422,8 @@ func benchConvergedClusterCfg(b *testing.B, n, conn int, mutate func(*adaptiveca
 func benchConvergeGraph(b *testing.B, g *adaptivecast.Topology, mutate func(*adaptivecast.ClusterConfig)) *adaptivecast.Cluster {
 	b.Helper()
 	cfg := adaptivecast.ClusterConfig{
-		Topology:       g,
-		DeliveryBuffer: 8,
+		Topology: g,
+		Options:  []adaptivecast.Option{adaptivecast.WithDeliveryBuffer(8)},
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -445,14 +436,14 @@ func benchConvergeGraph(b *testing.B, g *adaptivecast.Topology, mutate func(*ada
 	for round := 0; round < 400; round++ {
 		c.Tick()
 		time.Sleep(time.Millisecond) // let the fabric deliver the heartbeats
-		if len(c.KnownLinks(0)) != g.NumLinks() {
+		if len(c.Node(0).KnownLinks()) != g.NumLinks() {
 			continue
 		}
-		before := c.Stats(0).FallbackFloods
+		before := c.Node(0).Stats().FallbackFloods
 		if _, _, err := c.Broadcast(0, []byte("probe")); err != nil {
 			b.Fatal(err)
 		}
-		if c.Stats(0).FallbackFloods == before {
+		if c.Node(0).Stats().FallbackFloods == before {
 			return c
 		}
 	}
@@ -464,21 +455,7 @@ func benchConvergeGraph(b *testing.B, g *adaptivecast.Topology, mutate func(*ada
 // on a converged 32-node cluster: repeated same-view broadcasts from one
 // node (plan + encode + hand-off to the transport).
 func BenchmarkBroadcast(b *testing.B) {
-	c := benchConvergedCluster(b, 32, 4, false)
-	body := []byte("broadcast payload 0123456789abcdef")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Broadcast(0, body); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBroadcastNoPlanCache is BenchmarkBroadcast with the plan cache
-// disabled — every broadcast rebuilds the MRT and allocation, isolating
-// the cache's contribution to the headline number.
-func BenchmarkBroadcastNoPlanCache(b *testing.B) {
-	c := benchConvergedCluster(b, 32, 4, true)
+	c := benchConvergedCluster(b, 32, 4)
 	body := []byte("broadcast payload 0123456789abcdef")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -492,7 +469,7 @@ func BenchmarkBroadcastNoPlanCache(b *testing.B) {
 // broadcasters on the same node, measuring lock contention on the
 // broadcast path.
 func BenchmarkBroadcastParallel(b *testing.B) {
-	c := benchConvergedCluster(b, 32, 4, false)
+	c := benchConvergedCluster(b, 32, 4)
 	body := []byte("broadcast payload 0123456789abcdef")
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -603,44 +580,34 @@ func tickPair(n0, n1 *node.Node) {
 }
 
 // BenchmarkHeartbeatSteadyState measures the per-period heartbeat cost of
-// a converged two-node system on the live wire path. The delta/full
-// sub-benchmarks quantify the knowledge-delta win: once estimates
-// converge, delta heartbeats collapse to near-empty frames while full
-// snapshots keep re-shipping the whole (Λ_k, C_k) every period. The
+// a converged two-node system on the live wire path: once estimates
+// converge, delta heartbeats collapse to near-empty frames. The
 // hb-bytes/period metric is the acceptance number recorded in the README.
 func BenchmarkHeartbeatSteadyState(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"delta", false}, {"full", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			trA, trB := loopPair()
-			mk := func(id topology.NodeID, tr transport.Transport) *node.Node {
-				nd, err := node.New(node.Config{
-					ID:                     id,
-					NumProcs:               2,
-					Neighbors:              []topology.NodeID{1 - id},
-					DisableDeltaHeartbeats: mode.disable,
-				}, tr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return nd
-			}
-			n0, n1 := mk(0, trA), mk(1, trB)
-			for i := 0; i < 300; i++ { // converge the estimates
-				tickPair(n0, n1)
-			}
-			start := n0.Stats().HeartbeatBytesSent
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tickPair(n0, n1)
-			}
-			b.StopTimer()
-			spent := n0.Stats().HeartbeatBytesSent - start
-			b.ReportMetric(float64(spent)/float64(b.N), "hb-bytes/period")
-		})
+	trA, trB := loopPair()
+	mk := func(id topology.NodeID, tr transport.Transport) *node.Node {
+		nd, err := node.New(node.Config{
+			ID:        id,
+			NumProcs:  2,
+			Neighbors: []topology.NodeID{1 - id},
+		}, tr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return nd
 	}
+	n0, n1 := mk(0, trA), mk(1, trB)
+	for i := 0; i < 300; i++ { // converge the estimates
+		tickPair(n0, n1)
+	}
+	start := n0.Stats().HeartbeatBytesSent
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tickPair(n0, n1)
+	}
+	b.StopTimer()
+	spent := n0.Stats().HeartbeatBytesSent - start
+	b.ReportMetric(float64(spent)/float64(b.N), "hb-bytes/period")
 }
 
 // BenchmarkHeartbeatAdaptiveCadence measures the steady-state heartbeat
@@ -714,10 +681,8 @@ func (s *fanoutSink) SendN(_ topology.NodeID, _ []byte, n int) error {
 }
 
 // BenchmarkForwardFanout measures the forwarder receive path under
-// repeated same-tree traffic: decode a data frame, rebuild (or fetch from
-// the forwarder cache) its 32-node tree, and push the allocated copies to
-// 30 children. The cached/nocache sub-benchmarks isolate the cache's
-// contribution.
+// repeated same-tree traffic: decode a data frame, fetch its 32-node tree
+// from the forwarder cache, and push the allocated copies to 30 children.
 func BenchmarkForwardFanout(b *testing.B) {
 	const procs = 32
 	// Root 0 hands to forwarder 1, which fans out to children 2..31 with
@@ -732,52 +697,43 @@ func BenchmarkForwardFanout(b *testing.B) {
 		alloc[i] = 2
 	}
 
-	for _, mode := range []struct {
-		name string
-		size int
-	}{{"cached", 0}, {"nocache", -1}} {
-		b.Run(mode.name, func(b *testing.B) {
-			sink := &fanoutSink{id: 1}
-			nd, err := node.New(node.Config{
-				ID:               1,
-				NumProcs:         procs,
-				Neighbors:        []topology.NodeID{0},
-				ForwardCacheSize: mode.size,
-				DeliveryBuffer:   1, // deliveries overflow silently; not under test
-				// Direct sends: this benchmark isolates the forward path
-				// (decode, tree rebuild, per-child fanout) and counts sends
-				// synchronously; the lane scheduler's contribution is
-				// measured by BenchmarkForwardPipelined.
-				DisableLaneScheduler: true,
-			}, sink)
-			if err != nil {
-				b.Fatal(err)
-			}
-			body := []byte("fanout payload 0123456789abcdef")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				frame, err := wire.Encode(&wire.Frame{Kind: wire.FrameData, Data: &wire.DataMsg{
-					Origin:      0,
-					Seq:         uint64(i + 1),
-					Root:        0,
-					Parents:     parents,
-					AllocByNode: alloc,
-					Body:        body,
-				}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sink.handler(0, frame)
-			}
-			b.StopTimer()
-			if want := b.N * 60; sink.sends != want {
-				b.Fatalf("forwarded %d copies, want %d", sink.sends, want)
-			}
-			st := nd.Stats()
-			if mode.size == 0 && st.ForwardCacheHits < b.N-1 {
-				b.Fatalf("cache ineffective: %d hits over %d frames", st.ForwardCacheHits, b.N)
-			}
-		})
+	sink := &fanoutSink{id: 1}
+	nd, err := node.New(node.Config{
+		ID:             1,
+		NumProcs:       procs,
+		Neighbors:      []topology.NodeID{0},
+		DeliveryBuffer: 1, // deliveries overflow silently; not under test
+		// Direct sends: this benchmark isolates the forward path (decode,
+		// tree lookup, per-child fanout) and counts sends synchronously;
+		// the lane scheduler's contribution is measured by
+		// BenchmarkForwardPipelined.
+		DisableLaneScheduler: true,
+	}, sink)
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := []byte("fanout payload 0123456789abcdef")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame, err := wire.Encode(&wire.Frame{Kind: wire.FrameData, Data: &wire.DataMsg{
+			Origin:      0,
+			Seq:         uint64(i + 1),
+			Root:        0,
+			Parents:     parents,
+			AllocByNode: alloc,
+			Body:        body,
+		}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink.handler(0, frame)
+	}
+	b.StopTimer()
+	if want := b.N * 60; sink.sends != want {
+		b.Fatalf("forwarded %d copies, want %d", sink.sends, want)
+	}
+	if st := nd.Stats(); st.ForwardCacheHits < b.N-1 {
+		b.Fatalf("cache ineffective: %d hits over %d frames", st.ForwardCacheHits, b.N)
 	}
 }
 
@@ -857,9 +813,10 @@ func BenchmarkBroadcastSustained(b *testing.B) {
 				b.Fatal(err)
 			}
 			c := benchConvergeGraph(b, g, func(cfg *adaptivecast.ClusterConfig) {
-				cfg.DisableLaneScheduler = !mode.lanes
-				cfg.LaneQueueDepth = 1 << 15
-				cfg.AggregationWindow = mode.window
+				cfg.Options = append(cfg.Options,
+					adaptivecast.WithLaneScheduler(mode.lanes),
+					adaptivecast.WithLaneQueueDepth(1<<15),
+					adaptivecast.WithAggregationWindow(mode.window))
 				cfg.SendCost = 32 << 10
 			})
 			body := []byte("sustained broadcast payload 0123456789abcdef0123456789abcdef")
@@ -876,7 +833,7 @@ func BenchmarkBroadcastSustained(b *testing.B) {
 				b.Fatal("lanes did not drain")
 			}
 			b.StopTimer()
-			st := c.Stats(0)
+			st := c.Node(0).Stats()
 			if d := st.LaneDrops; d != (adaptivecast.LaneDrops{}) {
 				b.Fatalf("lane drops %+v at depth 2^15 — throughput number would count shed frames", d)
 			}

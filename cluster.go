@@ -4,20 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"adaptivecast/internal/wire"
 )
 
-// ClusterConfig configures an in-process cluster.
+// ClusterConfig configures an in-process cluster: the fabric-level
+// settings plus one option list that configures every node.
 type ClusterConfig struct {
 	// Topology is the system graph (required, connected).
 	Topology *Topology
-	// K is the per-broadcast reliability target (default DefaultK).
-	K float64
-	// HeartbeatEvery is δ, the knowledge-exchange period (default 1s;
-	// tests and examples often use a few milliseconds).
-	HeartbeatEvery time.Duration
 	// LinkLoss injects per-link loss probabilities into the in-process
 	// fabric, keyed by canonical link. Missing links are lossless.
 	LinkLoss map[Link]float64
@@ -27,37 +22,14 @@ type ClusterConfig struct {
 	// per-call kernel copy of this many bytes (see FabricOptions.SendCost;
 	// default 0, free). Mainly for saturation benchmarks.
 	SendCost int
-	// DeliveryBuffer sizes each node's delivery channel (default 128).
-	DeliveryBuffer int
-	// BayesIntervals is U, the estimator precision (default 100, the
-	// paper's setting).
-	BayesIntervals int
-	// Piggyback attaches knowledge snapshots to data frames on every
-	// node (Section 4.1's bandwidth optimization).
-	Piggyback bool
-	// DisablePlanCache forces every broadcast on every node to replan
-	// from the current view (see WithPlanCache; mainly for benchmarks).
-	DisablePlanCache bool
-	// DisableDeltaHeartbeats makes every node heartbeat its full knowledge
-	// snapshot every period (see WithDeltaHeartbeats; mainly for
-	// benchmarks and bandwidth comparisons).
-	DisableDeltaHeartbeats bool
-	// AdaptiveCadence, when positive, lets every node stretch heartbeats
-	// toward stable neighbors up to this interval, snapping back to
-	// HeartbeatEvery on any change (see WithAdaptiveCadence). Requires
-	// delta heartbeats (i.e. DisableDeltaHeartbeats unset).
-	AdaptiveCadence time.Duration
-	// DisableLaneScheduler reverts every node's sends to synchronous
-	// transport calls instead of the prioritized per-peer lane scheduler
-	// that runs by default (see WithLaneScheduler).
-	DisableLaneScheduler bool
-	// LaneQueueDepth bounds each peer's data lane (see
-	// WithLaneQueueDepth; default 256).
-	LaneQueueDepth int
-	// AggregationWindow coalesces same-peer data frames queued within
-	// this window into one transport flush (see WithAggregationWindow;
-	// default 0, flush immediately).
-	AggregationWindow time.Duration
+	// Options configure every node of the cluster, including joiners
+	// admitted later by AddNode, exactly as they would configure a Node
+	// built with NewNode (WithK, WithHeartbeat, WithAdaptiveCadence, …).
+	// Per-node state does not belong in this cluster-wide list: one
+	// StableStorage (WithStableStorage) or ExactlyOnceLog
+	// (WithExactlyOnceLog) shared by every node would mix their records.
+	// Build such nodes individually with NewNode instead.
+	Options []Option
 }
 
 // Cluster is a thin convenience layer over Node: one node per process of
@@ -67,14 +39,15 @@ type ClusterConfig struct {
 // with Node.
 type Cluster struct {
 	// mu guards the mutable membership state: the graph (epochs), the
-	// node slice, and the started flag. Per-node protocol state has its
-	// own synchronization.
+	// node slice, and the started and closed flags. Per-node protocol
+	// state has its own synchronization.
 	mu      sync.Mutex
 	cfg     ClusterConfig
 	graph   *Topology
 	fabric  *Fabric
 	nodes   []*Node
 	started bool
+	closed  bool
 
 	closeOnce sync.Once
 	closeErr  error
@@ -104,7 +77,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c := &Cluster{cfg: cfg, graph: cfg.Topology, fabric: fabric, nodes: make([]*Node, n)}
 	for i := 0; i < n; i++ {
 		id := NodeID(i)
-		nd, err := NewNode(fabric.Endpoint(id), n, cfg.Topology.Neighbors(id), c.nodeOptions()...)
+		nd, err := NewNode(fabric.Endpoint(id), n, cfg.Topology.Neighbors(id), cfg.Options...)
 		if err != nil {
 			_ = fabric.Close()
 			return nil, fmt.Errorf("adaptivecast: node %d: %w", i, err)
@@ -112,40 +85,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.nodes[i] = nd
 	}
 	return c, nil
-}
-
-// nodeOptions materializes the cluster-wide configuration as the option
-// list shared by construction-time nodes and later joiners.
-func (c *Cluster) nodeOptions() []Option {
-	cfg := c.cfg
-	opts := []Option{
-		WithK(cfg.K),
-		WithHeartbeat(cfg.HeartbeatEvery),
-		WithDeliveryBuffer(cfg.DeliveryBuffer),
-		WithBayesIntervals(cfg.BayesIntervals),
-	}
-	if cfg.Piggyback {
-		opts = append(opts, WithPiggyback())
-	}
-	if cfg.DisablePlanCache {
-		opts = append(opts, WithPlanCache(false))
-	}
-	if cfg.DisableDeltaHeartbeats {
-		opts = append(opts, WithDeltaHeartbeats(false))
-	}
-	if cfg.AdaptiveCadence > 0 {
-		opts = append(opts, WithAdaptiveCadence(cfg.AdaptiveCadence))
-	}
-	if cfg.DisableLaneScheduler {
-		opts = append(opts, WithLaneScheduler(false))
-	}
-	if cfg.LaneQueueDepth > 0 {
-		opts = append(opts, WithLaneQueueDepth(cfg.LaneQueueDepth))
-	}
-	if cfg.AggregationWindow > 0 {
-		opts = append(opts, WithAggregationWindow(cfg.AggregationWindow))
-	}
-	return opts
 }
 
 // NumNodes returns the ID-space size — every process ever admitted,
@@ -210,6 +149,9 @@ func (c *Cluster) Tick() {
 func (c *Cluster) AddNode(neighbors ...NodeID) (NodeID, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return 0, errClusterClosed
+	}
 	if len(neighbors) == 0 {
 		return 0, errors.New("adaptivecast: a joiner needs at least one neighbor")
 	}
@@ -240,7 +182,7 @@ func (c *Cluster) AddNode(neighbors ...NodeID) (NodeID, error) {
 			departed = append(departed, NodeID(i))
 		}
 	}
-	opts := append(c.nodeOptions(), WithEpoch(c.graph.Epoch()+1), WithDeparted(departed...))
+	opts := append(append([]Option(nil), c.cfg.Options...), WithEpoch(c.graph.Epoch()+1), WithDeparted(departed...))
 	nd, err := NewNode(c.fabric.Endpoint(id), c.graph.NumNodes()+1, neighbors, opts...)
 	if err != nil {
 		return 0, fmt.Errorf("adaptivecast: joiner %d: %w", id, err)
@@ -272,6 +214,9 @@ func (c *Cluster) AddNode(neighbors ...NodeID) (NodeID, error) {
 func (c *Cluster) RemoveNode(id NodeID) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return errClusterClosed
+	}
 	if !c.graph.Active(id) {
 		return fmt.Errorf("adaptivecast: node %d is not an active member", id)
 	}
@@ -352,15 +297,6 @@ func (c *Cluster) nodeFor(id NodeID) *Node {
 	return c.nodes[id]
 }
 
-// Deliveries returns the delivery channel of one node. Do not mix with
-// Subscribe on the same node.
-func (c *Cluster) Deliveries(id NodeID) <-chan Delivery {
-	return c.Node(id).Deliveries()
-}
-
-// Stats returns the protocol counters of one node.
-func (c *Cluster) Stats(id NodeID) NodeStats { return c.Node(id).Stats() }
-
 // Epoch returns the cluster's current membership epoch (0 until the
 // first AddNode/RemoveNode).
 func (c *Cluster) Epoch() uint64 {
@@ -369,27 +305,16 @@ func (c *Cluster) Epoch() uint64 {
 	return c.graph.Epoch()
 }
 
-// CrashEstimate returns node `at`'s current estimate of process `of`'s
-// per-period crash probability and the estimate's distortion.
-func (c *Cluster) CrashEstimate(at, of NodeID) (mean float64, distortion int) {
-	return c.Node(at).CrashEstimate(of)
-}
-
-// LossEstimate returns node `at`'s current estimate of a link's loss
-// probability; ok is false while the link is still unknown to that node.
-func (c *Cluster) LossEstimate(at NodeID, l Link) (mean float64, distortion int, ok bool) {
-	return c.Node(at).LossEstimate(l)
-}
-
-// KnownLinks reports the links node `at` has discovered so far.
-func (c *Cluster) KnownLinks(at NodeID) []Link { return c.Node(at).KnownLinks() }
+// errClusterClosed rejects membership changes after Close.
+var errClusterClosed = errors.New("adaptivecast: cluster closed")
 
 // Close stops every node and tears down the fabric, returning the errors
 // joined. It is idempotent: repeated calls return the first result
-// without re-stopping anything.
+// without re-stopping anything. Membership changes after Close fail.
 func (c *Cluster) Close() error {
 	c.closeOnce.Do(func() {
 		c.mu.Lock()
+		c.closed = true
 		nodes := append([]*Node(nil), c.nodes...)
 		c.mu.Unlock()
 		errs := make([]error, 0, len(nodes)+1)

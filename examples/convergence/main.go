@@ -55,8 +55,8 @@ func run() error {
 		if period%100 != 0 {
 			continue
 		}
-		e0, _, ok0 := cluster.LossEstimate(0, link)
-		e1, _, ok1 := cluster.LossEstimate(1, link)
+		e0, _, ok0 := cluster.Node(0).LossEstimate(link)
+		e1, _, ok1 := cluster.Node(1).LossEstimate(link)
 		if !ok0 || !ok1 {
 			return fmt.Errorf("link vanished from a view")
 		}

@@ -56,8 +56,8 @@ func run() error {
 		return err
 	}
 	cluster, err := adaptivecast.NewCluster(adaptivecast.ClusterConfig{
-		Topology:       grid,
-		HeartbeatEvery: 10 * time.Millisecond,
+		Topology: grid,
+		Options:  []adaptivecast.Option{adaptivecast.WithHeartbeat(10 * time.Millisecond)},
 	})
 	if err != nil {
 		return err
@@ -132,7 +132,7 @@ func run() error {
 func perEventCost(c *adaptivecast.Cluster) int {
 	total := 0
 	for i := 0; i < c.NumNodes(); i++ {
-		total += c.Stats(adaptivecast.NodeID(i)).DataSent
+		total += c.Node(adaptivecast.NodeID(i)).Stats().DataSent
 	}
 	return total / 4 // four events published
 }

@@ -24,8 +24,8 @@ func run() error {
 		return err
 	}
 	cluster, err := adaptivecast.NewCluster(adaptivecast.ClusterConfig{
-		Topology:       ring,
-		HeartbeatEvery: 10 * time.Millisecond,
+		Topology: ring,
+		Options:  []adaptivecast.Option{adaptivecast.WithHeartbeat(10 * time.Millisecond)},
 	})
 	if err != nil {
 		return err
@@ -52,7 +52,7 @@ func run() error {
 	cluster.Start()
 	time.Sleep(200 * time.Millisecond)
 	fmt.Printf("node 0 discovered %d of %d links\n",
-		len(cluster.KnownLinks(0)), ring.NumLinks())
+		len(cluster.Node(0).KnownLinks()), ring.NumLinks())
 
 	// Reliable broadcast (Algorithm 1): the message rides a Maximum
 	// Reliability Tree with per-edge retransmission counts meeting the

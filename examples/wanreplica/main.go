@@ -35,13 +35,13 @@ func run() error {
 	badBridge := topo.Link(bridges[1])  // 1—5
 
 	cluster, err := adaptivecast.NewCluster(adaptivecast.ClusterConfig{
-		Topology:       topo,
-		HeartbeatEvery: 5 * time.Millisecond,
+		Topology: topo,
 		LinkLoss: map[adaptivecast.Link]float64{
 			goodBridge: 0.02,
 			badBridge:  0.25,
 		},
-		Seed: 42,
+		Seed:    42,
+		Options: []adaptivecast.Option{adaptivecast.WithHeartbeat(5 * time.Millisecond)},
 	})
 	if err != nil {
 		return err
@@ -56,8 +56,8 @@ func run() error {
 	cluster.Start()
 	waitUntilLearned(cluster, goodBridge, badBridge)
 
-	good, _, _ := cluster.LossEstimate(0, goodBridge)
-	bad, _, _ := cluster.LossEstimate(0, badBridge)
+	good, _, _ := cluster.Node(0).LossEstimate(goodBridge)
+	bad, _, _ := cluster.Node(0).LossEstimate(badBridge)
 	fmt.Printf("node 0 estimates: bridge %v ≈ %.3f loss, bridge %v ≈ %.3f loss\n",
 		goodBridge, good, badBridge, bad)
 
@@ -74,7 +74,7 @@ func run() error {
 
 	for i := 0; i < cluster.NumNodes(); i++ {
 		select {
-		case d := <-cluster.Deliveries(adaptivecast.NodeID(i)):
+		case d := <-cluster.Node(adaptivecast.NodeID(i)).Deliveries():
 			dc := "dc-1"
 			if i >= 4 {
 				dc = "dc-2"
@@ -99,8 +99,8 @@ func waitUntilLearned(c *adaptivecast.Cluster, good, bad adaptivecast.Link) {
 			return
 		case <-time.After(100 * time.Millisecond):
 		}
-		g, _, ok1 := c.LossEstimate(0, good)
-		b, _, ok2 := c.LossEstimate(0, bad)
+		g, _, ok1 := c.Node(0).LossEstimate(good)
+		b, _, ok2 := c.Node(0).LossEstimate(bad)
 		if ok1 && ok2 && b > 0.15 && g < 0.10 {
 			return
 		}

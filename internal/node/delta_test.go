@@ -21,6 +21,27 @@ import (
 // the cluster's receive counters stop moving (in-flight frames all
 // handled), bounded so a genuinely quiet period costs one extra scan.
 func settleTicks(nodes []*Node, periods int) {
+	settleWith(nodes, periods, (*Node).Tick)
+}
+
+// tickFull is the always-full heartbeat reference the delta tests
+// compare against: it forgets every neighbor's acknowledged version and
+// ticks, so each heartbeat of the period ships as a Since = 0 full
+// snapshot (the same records, merged by the same MergeSnapshotAt).
+func tickFull(n *Node) {
+	n.peerMu.Lock()
+	clear(n.peerAcked)
+	n.peerMu.Unlock()
+	n.Tick()
+}
+
+// settleFullTicks is settleTicks with every heartbeat a full snapshot
+// (see tickFull).
+func settleFullTicks(nodes []*Node, periods int) {
+	settleWith(nodes, periods, tickFull)
+}
+
+func settleWith(nodes []*Node, periods int, tick func(*Node)) {
 	received := func() int {
 		total := 0
 		for _, nd := range nodes {
@@ -32,7 +53,7 @@ func settleTicks(nodes []*Node, periods int) {
 	}
 	for p := 0; p < periods; p++ {
 		for _, nd := range nodes {
-			nd.Tick()
+			tick(nd)
 		}
 		last := received()
 		for attempt := 0; attempt < 50; attempt++ {
@@ -52,26 +73,24 @@ func settleTicks(nodes []*Node, periods int) {
 // is far larger — converged deltas are near-empty — but the 3x floor is
 // what the change guarantees.)
 func TestDeltaHeartbeatSteadyStateBandwidth(t *testing.T) {
-	run := func(disableDeltas bool) (steadyBytes int) {
+	run := func(settle func([]*Node, int)) (steadyBytes int) {
 		g, err := topology.Ring(6)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fabric := transport.NewFabric(transport.FabricOptions{})
 		defer func() { _ = fabric.Close() }()
-		nodes := buildCluster(t, g, fabric, func(i int) Config {
-			return Config{DisableDeltaHeartbeats: disableDeltas}
-		})
+		nodes := buildCluster(t, g, fabric, nil)
 		// Long enough for every estimate's mean to settle well below the
 		// delta epsilon (posterior drift shrinks like 1/periods²).
-		settleTicks(nodes, 300)
+		settle(nodes, 300)
 		before := nodes[0].Stats().HeartbeatBytesSent
-		settleTicks(nodes, 40)
+		settle(nodes, 40)
 		return nodes[0].Stats().HeartbeatBytesSent - before
 	}
 
-	deltaBytes := run(false)
-	fullBytes := run(true)
+	deltaBytes := run(settleTicks)
+	fullBytes := run(settleFullTicks)
 	if deltaBytes <= 0 || fullBytes <= 0 {
 		t.Fatalf("no heartbeat bytes measured: delta=%d full=%d", deltaBytes, fullBytes)
 	}
@@ -162,7 +181,7 @@ func TestDeltaFullFallbackAfterRestart(t *testing.T) {
 // and the ack chain repairs.
 func TestDeltaConvergesToFullBaseline(t *testing.T) {
 	for _, seed := range []int64{3, 17, 99} {
-		run := func(disableDeltas bool) []*Node {
+		run := func(settle func([]*Node, int)) []*Node {
 			rng := rand.New(rand.NewSource(seed))
 			g, err := topology.RandomConnected(5, 2, rng)
 			if err != nil {
@@ -170,9 +189,7 @@ func TestDeltaConvergesToFullBaseline(t *testing.T) {
 			}
 			fabric := transport.NewFabric(transport.FabricOptions{Seed: seed})
 			t.Cleanup(func() { _ = fabric.Close() })
-			nodes := buildCluster(t, g, fabric, func(i int) Config {
-				return Config{DisableDeltaHeartbeats: disableDeltas}
-			})
+			nodes := buildCluster(t, g, fabric, nil)
 			// Lossy phase: both clusters sample the identical loss schedule
 			// (same seed, same synchronous send order), dropping full and
 			// delta heartbeats alike.
@@ -182,7 +199,7 @@ func TestDeltaConvergesToFullBaseline(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			settleTicks(nodes, 150)
+			settle(nodes, 150)
 			// Calm phase: no loss; acks repair and estimates settle.
 			for li := 0; li < g.NumLinks(); li++ {
 				l := g.Link(li)
@@ -190,12 +207,12 @@ func TestDeltaConvergesToFullBaseline(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			settleTicks(nodes, 100)
+			settle(nodes, 100)
 			return nodes
 		}
 
-		deltaNodes := run(false)
-		fullNodes := run(true)
+		deltaNodes := run(settleTicks)
+		fullNodes := run(settleFullTicks)
 		for i := range deltaNodes {
 			for p := 0; p < 5; p++ {
 				mD, dD := deltaNodes[i].CrashEstimate(topology.NodeID(p))

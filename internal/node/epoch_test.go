@@ -203,11 +203,11 @@ func TestStaleEpochFramesFencedAndRepaired(t *testing.T) {
 	}
 }
 
-// TestStaleEpochFullHeartbeatFenced pins the epoch gate on full-snapshot
-// heartbeats (DisableDeltaHeartbeats in a dynamic cluster): a node at
-// epoch 2 must drop a full heartbeat from a peer still at epoch 1 —
-// without merging it — count it as a stale-epoch frame, and re-announce
-// the change that peer missed, so the peer catches up.
+// TestStaleEpochFullHeartbeatFenced pins the epoch gate on the
+// full-snapshot heartbeat kind: a node at epoch 2 must drop a crafted
+// full heartbeat from a peer still at epoch 1 — without merging it —
+// count it as a stale-epoch frame, and re-announce the change that peer
+// missed, so the peer catches up.
 func TestStaleEpochFullHeartbeatFenced(t *testing.T) {
 	g, err := topology.Line(2)
 	if err != nil {
@@ -215,9 +215,7 @@ func TestStaleEpochFullHeartbeatFenced(t *testing.T) {
 	}
 	fabric := transport.NewFabric(transport.FabricOptions{})
 	defer func() { _ = fabric.Close() }()
-	nodes := buildCluster(t, g, fabric, func(int) Config {
-		return Config{DisableDeltaHeartbeats: true}
-	})
+	nodes := buildCluster(t, g, fabric, nil)
 	settleTicks(nodes, 5)
 
 	// Both nodes adopt epoch 1; only node 0 learns of epoch 2.
@@ -228,9 +226,18 @@ func TestStaleEpochFullHeartbeatFenced(t *testing.T) {
 		t.Fatal("membership not applied")
 	}
 
-	// Only node 1 ticks: it sends node 0 a full heartbeat at epoch 1.
+	// Node 1's endpoint delivers node 0 a full heartbeat at epoch 1.
+	nodes[1].viewMu.Lock()
+	snap := nodes[1].view.Snapshot()
+	nodes[1].viewMu.Unlock()
+	frame, err := wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: snap, Epoch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := nodes[0].Stats()
-	nodes[1].Tick()
+	if err := fabric.Endpoint(1).Send(0, frame); err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(2 * time.Second)
 	for nodes[1].Epoch() != 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -376,16 +383,14 @@ func TestDeltaConvergesToFullAcrossChurn(t *testing.T) {
 			{period: 120, join: true, nbs: []topology.NodeID{0}},
 		}
 
-		run := func(disableDeltas bool) []*Node {
+		run := func(tick func(*Node)) []*Node {
 			g, err := topology.Ring(4)
 			if err != nil {
 				t.Fatal(err)
 			}
 			fabric := transport.NewFabric(transport.FabricOptions{Seed: seed})
 			t.Cleanup(func() { _ = fabric.Close() })
-			nodes := buildCluster(t, g, fabric, func(i int) Config {
-				return Config{DisableDeltaHeartbeats: disableDeltas}
-			})
+			nodes := buildCluster(t, g, fabric, nil)
 			for li := 0; li < g.NumLinks(); li++ {
 				l := g.Link(li)
 				if err := fabric.SetLoss(l.A, l.B, 0.2); err != nil {
@@ -412,8 +417,7 @@ func TestDeltaConvergesToFullAcrossChurn(t *testing.T) {
 					if ev.join {
 						id := topology.NodeID(len(nodes))
 						nd := joinNode(t, fabric, id, len(nodes)+1, ev.nbs, epoch,
-							append([]topology.NodeID(nil), departed...),
-							Config{DisableDeltaHeartbeats: disableDeltas})
+							append([]topology.NodeID(nil), departed...), Config{})
 						nodes = append(nodes, nd)
 					} else {
 						nodes[ev.leaver].Stop()
@@ -435,15 +439,15 @@ func TestDeltaConvergesToFullAcrossChurn(t *testing.T) {
 					}
 				}
 				for _, nd := range alive() {
-					nd.Tick()
+					tick(nd)
 				}
 				time.Sleep(time.Millisecond)
 			}
 			return nodes
 		}
 
-		deltaNodes := run(false)
-		fullNodes := run(true)
+		deltaNodes := run((*Node).Tick)
+		fullNodes := run(tickFull)
 		if len(deltaNodes) != len(fullNodes) {
 			t.Fatalf("seed %d: modes disagree on node count", seed)
 		}

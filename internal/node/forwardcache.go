@@ -8,12 +8,11 @@ import (
 	"adaptivecast/internal/topology"
 )
 
-// defaultForwardCacheSize bounds the forwarder tree cache when the
-// configuration leaves it zero. Steady traffic usually flows down one
-// tree per active broadcaster, so a handful of entries already absorbs
-// the common case; the cache is per-node and each entry holds one parent
-// vector plus the rebuilt tree (O(n) memory).
-const defaultForwardCacheSize = 16
+// forwardCacheEntries bounds the forwarder tree cache. Steady traffic
+// usually flows down one tree per active broadcaster, so a handful of
+// entries already absorbs the common case; the cache is per-node and
+// each entry holds one parent vector plus the rebuilt tree (O(n) memory).
+const forwardCacheEntries = 16
 
 // forwardCache memoizes mrt.FromParents on the receive path: every data
 // frame carries its tree as a parent vector, and a forwarder relaying a

@@ -167,8 +167,7 @@ type Config struct {
 	NumProcs int
 	// Neighbors are the directly connected processes.
 	Neighbors []topology.NodeID
-	// Epoch is the initial membership epoch. 0 — the static-cluster
-	// default — keeps every frame byte-identical to pre-epoch peers; a
+	// Epoch is the initial membership epoch: 0 for a static cluster; a
 	// node created to join a running cluster declares the bumped epoch of
 	// the membership change that admits it.
 	Epoch uint64
@@ -200,23 +199,6 @@ type Config struct {
 	// DeliveryBuffer sizes the delivery channel (default 128). When the
 	// application lags, further deliveries are dropped and counted.
 	DeliveryBuffer int
-	// DisablePlanCache turns off the broadcast plan cache, forcing every
-	// broadcast to rebuild the MRT and allocation from the current view
-	// (the pre-cache behavior; useful for benchmarks and debugging).
-	DisablePlanCache bool
-	// DisableDeltaHeartbeats makes every heartbeat ship the full knowledge
-	// snapshot as a FrameHeartbeat, instead of the default per-neighbor
-	// knowledge deltas (records changed since the version the neighbor
-	// last acked, with a full-snapshot fallback while the neighbor's
-	// acked version is unknown or predates this incarnation). Deltas
-	// shrink steady-state heartbeat bandwidth by the convergence factor;
-	// disabling them is for benchmarks.
-	DisableDeltaHeartbeats bool
-	// ForwardCacheSize bounds the forwarder tree cache: received data
-	// frames carrying the same (root, parents) tree reuse one rebuilt
-	// mrt.Tree instead of re-deriving it per frame. 0 means the default
-	// (16 entries); negative disables the cache.
-	ForwardCacheSize int
 	// AdaptiveCadenceMax caps the adaptive heartbeat cadence, in
 	// heartbeat periods: once a neighbor's delta has been empty, anchored
 	// and suspicion-free for a few consecutive periods, the node
@@ -227,8 +209,7 @@ type Config struct {
 	// the delta frame's Cadence field so the receiver scales its
 	// suspicion timeout and sequence-gap loss accounting instead of
 	// falsely suspecting (or under-counting) a quiet-by-design neighbor.
-	// Values <= 1 disable stretching (the default); adaptive cadence
-	// requires delta heartbeats.
+	// Values <= 1 disable stretching (the default).
 	AdaptiveCadenceMax int
 	// DisableLaneScheduler turns off the per-peer prioritized lane
 	// scheduler (control > data > telemetry) and reverts every send to a
@@ -266,9 +247,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DeliveryBuffer == 0 {
 		c.DeliveryBuffer = 128
-	}
-	if c.ForwardCacheSize == 0 {
-		c.ForwardCacheSize = defaultForwardCacheSize
 	}
 	if c.AdaptiveCadenceMax > wire.MaxCadence {
 		c.AdaptiveCadenceMax = wire.MaxCadence
@@ -398,8 +376,7 @@ type Node struct {
 	peerSeen  map[topology.NodeID]uint64
 	peerAcked map[topology.NodeID]uint64
 
-	// fwdCache memoizes trees rebuilt from received parent vectors; nil
-	// when disabled.
+	// fwdCache memoizes trees rebuilt from received parent vectors.
 	fwdCache *forwardCache
 
 	// cadMu guards the adaptive-cadence controller state (a leaf lock
@@ -471,6 +448,7 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 		delivered:  newDeliveredSet(),
 		peerSeen:   make(map[topology.NodeID]uint64, len(cfg.Neighbors)),
 		peerAcked:  make(map[topology.NodeID]uint64, len(cfg.Neighbors)),
+		fwdCache:   newForwardCache(forwardCacheEntries),
 		deliveries: make(chan Delivery, cfg.DeliveryBuffer),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
@@ -495,10 +473,7 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 		}))
 		n.announceLeft.Store(announceRounds)
 	}
-	if cfg.ForwardCacheSize > 0 {
-		n.fwdCache = newForwardCache(cfg.ForwardCacheSize)
-	}
-	if cfg.AdaptiveCadenceMax > 1 && !cfg.DisableDeltaHeartbeats {
+	if cfg.AdaptiveCadenceMax > 1 {
 		n.cad = make(map[topology.NodeID]*cadence.State, len(cfg.Neighbors))
 	}
 	// Resume broadcast sequencing above anything this node may have
@@ -697,24 +672,21 @@ func (n *Node) Tick() {
 			}
 		}
 	}
-	var acked, seen map[topology.NodeID]uint64
-	if !n.cfg.DisableDeltaHeartbeats {
-		acked = make(map[topology.NodeID]uint64, len(neighbors))
-		seen = make(map[topology.NodeID]uint64, len(neighbors))
-		n.peerMu.Lock()
-		for _, nb := range neighbors {
-			acked[nb] = n.peerAcked[nb]
-			seen[nb] = n.peerSeen[nb]
-		}
-		n.peerMu.Unlock()
+	acked := make(map[topology.NodeID]uint64, len(neighbors))
+	seen := make(map[topology.NodeID]uint64, len(neighbors))
+	n.peerMu.Lock()
+	for _, nb := range neighbors {
+		acked[nb] = n.peerAcked[nb]
+		seen[nb] = n.peerSeen[nb]
 	}
+	n.peerMu.Unlock()
 
 	type outbound struct {
 		to    topology.NodeID
 		snap  *knowledge.Snapshot
 		since uint64
 	}
-	var outs []outbound
+	outs := make([]outbound, 0, len(neighbors))
 	var full *knowledge.Snapshot
 	var ver uint64
 	var susp map[topology.NodeID]bool
@@ -741,35 +713,30 @@ func (n *Node) Tick() {
 			}
 		}
 	}
-	if n.cfg.DisableDeltaHeartbeats {
-		full = n.view.Snapshot()
-	} else {
-		outs = make([]outbound, 0, len(neighbors))
-		// One cut per distinct acked base: in the common case every
-		// neighbor acked the same version, so a node of any degree scans
-		// the view once per period, not once per neighbor. A nil cached
-		// cut records an unanchorable base.
-		cuts := make(map[uint64]*knowledge.Snapshot, 1)
-		for _, nb := range neighbors {
-			o := outbound{to: nb}
-			if base := acked[nb]; base > 0 {
-				d, cached := cuts[base]
-				if !cached {
-					d, _ = n.view.DeltaSince(base)
-					cuts[base] = d
-				}
-				if d != nil {
-					o.snap, o.since = d, base
-				}
+	// One cut per distinct acked base: in the common case every neighbor
+	// acked the same version, so a node of any degree scans the view once
+	// per period, not once per neighbor. A nil cached cut records an
+	// unanchorable base.
+	cuts := make(map[uint64]*knowledge.Snapshot, 1)
+	for _, nb := range neighbors {
+		o := outbound{to: nb}
+		if base := acked[nb]; base > 0 {
+			d, cached := cuts[base]
+			if !cached {
+				d, _ = n.view.DeltaSince(base)
+				cuts[base] = d
 			}
-			if o.snap == nil {
-				if full == nil {
-					full = n.view.Snapshot()
-				}
-				o.snap = full // since stays 0: full-snapshot fallback
+			if d != nil {
+				o.snap, o.since = d, base
 			}
-			outs = append(outs, o)
 		}
+		if o.snap == nil {
+			if full == nil {
+				full = n.view.Snapshot()
+			}
+			o.snap = full // since stays 0: full-snapshot fallback
+		}
+		outs = append(outs, o)
 	}
 	n.viewMu.Unlock()
 
@@ -789,24 +756,6 @@ func (n *Node) Tick() {
 		n.cadPersist = cadSnap
 		_ = n.cfg.Storage.SaveMark(n.cfg.Now(), n.seqLease.Load(), cadSnap)
 		n.leaseMu.Unlock()
-	}
-
-	if n.cfg.DisableDeltaHeartbeats {
-		// One encode per period regardless of degree: every neighbor gets
-		// the same full-snapshot frame.
-		frame, err := wire.Encode(&wire.Frame{Kind: wire.FrameHeartbeat, Heartbeat: full, Epoch: epoch})
-		if err != nil {
-			return
-		}
-		sent := 0
-		for _, nb := range neighbors {
-			if err := n.sendControl(nb, frame, nil); err == nil {
-				sent++
-				n.stats.heartbeatBytesSent.Add(int64(len(frame)))
-			}
-		}
-		n.stats.heartbeatsSent.Add(int64(sent))
-		return
 	}
 
 	// Shared delta cuts: the snapshot section of a delta frame is encoded
@@ -1017,12 +966,6 @@ func (n *Node) ensureSeqLease(seq uint64) {
 // reports whether this call built the plan (the OnTreeRebuild hook fires
 // only then).
 func (n *Node) currentPlan() (p *plan, fresh bool) {
-	if n.cfg.DisablePlanCache {
-		n.viewMu.Lock()
-		g, c, err := n.view.EstimatedConfig()
-		n.viewMu.Unlock()
-		return buildPlan(g, c, err, n.cfg.ID, n.cfg.K), true
-	}
 	n.planMu.Lock()
 	defer n.planMu.Unlock()
 	n.viewMu.Lock()
@@ -1343,9 +1286,7 @@ func (n *Node) applyMembership(kind wire.FrameKind, m *wire.Membership) bool {
 		}
 		n.cadMu.Unlock()
 	}
-	if n.fwdCache != nil {
-		n.fwdCache.clear()
-	}
+	n.fwdCache.clear()
 	// The plan cache invalidates itself: Grow/MarkDeparted/AddNeighbor
 	// bumped the view version it is keyed on.
 
@@ -1589,9 +1530,6 @@ func (n *Node) handleData(from topology.NodeID, msg *wire.DataMsg, raw []byte) {
 // shape, one active tree per broadcaster — costs a hash lookup per frame
 // instead of an O(n) rebuild with its allocations.
 func (n *Node) treeFromParents(root topology.NodeID, parents []topology.NodeID) (*mrt.Tree, error) {
-	if n.fwdCache == nil {
-		return mrt.FromParents(root, parents)
-	}
 	if tree, ok := n.fwdCache.get(root, parents); ok {
 		n.stats.forwardCacheHits.Add(1)
 		return tree, nil

@@ -45,15 +45,6 @@ func buildCluster(t *testing.T, g *topology.Graph, fabric *transport.Fabric, cfg
 			if over.DeliveryBuffer != 0 {
 				c.DeliveryBuffer = over.DeliveryBuffer
 			}
-			if over.DisablePlanCache {
-				c.DisablePlanCache = true
-			}
-			if over.DisableDeltaHeartbeats {
-				c.DisableDeltaHeartbeats = true
-			}
-			if over.ForwardCacheSize != 0 {
-				c.ForwardCacheSize = over.ForwardCacheSize
-			}
 			if over.AdaptiveCadenceMax != 0 {
 				c.AdaptiveCadenceMax = over.AdaptiveCadenceMax
 			}

@@ -113,29 +113,6 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestPlanCacheDisabled checks WithPlanCache(false) semantics: every
-// broadcast replans and no cache counters move.
-func TestPlanCacheDisabled(t *testing.T) {
-	nodes, _ := convergedLine3(t, func(i int) Config {
-		return Config{DisablePlanCache: true}
-	})
-	nd := nodes[0]
-
-	base := nd.Stats()
-	for i := 0; i < 3; i++ {
-		if _, _, err := nd.Broadcast([]byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := nd.Stats()
-	if st.FallbackFloods != base.FallbackFloods {
-		t.Fatal("broadcasts flooded: view never converged")
-	}
-	if st.PlanCacheHits != base.PlanCacheHits || st.PlanCacheMisses != base.PlanCacheMisses {
-		t.Errorf("cache counters moved with the cache disabled: %+v", st)
-	}
-}
-
 // TestDeliveredWatermarkCompaction checks that sustained in-order traffic
 // leaves no per-broadcast residue in the dedup set (the watermark absorbs
 // contiguous sequences).
@@ -314,50 +291,36 @@ func TestForwardCacheLRU(t *testing.T) {
 }
 
 // TestForwardCacheOnReceivePath checks the forwarder-side integration:
-// repeated broadcasts down one tree cost one rebuild on each forwarder,
-// and the cache can be disabled.
+// repeated broadcasts down one tree cost one rebuild on each forwarder.
 func TestForwardCacheOnReceivePath(t *testing.T) {
-	for _, disabled := range []bool{false, true} {
-		g, err := topology.Line(3) // 0 — 1 — 2: node 1 forwards
-		if err != nil {
+	g, err := topology.Line(3) // 0 — 1 — 2: node 1 forwards
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabric := transport.NewFabric(transport.FabricOptions{})
+	defer func() { _ = fabric.Close() }()
+	nodes := buildCluster(t, g, fabric, nil)
+	for p := 0; p < 8; p++ {
+		for _, nd := range nodes {
+			nd.Tick()
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	const rounds = 5
+	for b := 0; b < rounds; b++ {
+		if _, _, err := nodes[0].Broadcast([]byte("fan")); err != nil {
 			t.Fatal(err)
 		}
-		fabric := transport.NewFabric(transport.FabricOptions{})
-		nodes := buildCluster(t, g, fabric, func(i int) Config {
-			if disabled {
-				return Config{ForwardCacheSize: -1}
-			}
-			return Config{}
-		})
-		for p := 0; p < 8; p++ {
-			for _, nd := range nodes {
-				nd.Tick()
-			}
-			time.Sleep(time.Millisecond)
-		}
+	}
+	waitStat(t, func() bool { return nodes[2].Stats().Delivered >= rounds },
+		"tail node missed broadcasts")
 
-		const rounds = 5
-		for b := 0; b < rounds; b++ {
-			if _, _, err := nodes[0].Broadcast([]byte("fan")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		waitStat(t, func() bool { return nodes[2].Stats().Delivered >= rounds },
-			"tail node missed broadcasts")
-
-		st := nodes[1].Stats()
-		if disabled {
-			if st.ForwardCacheHits != 0 || st.ForwardCacheMisses != 0 {
-				t.Errorf("disabled cache counted activity: %+v", st)
-			}
-		} else {
-			if st.ForwardCacheMisses < 1 {
-				t.Errorf("no forward-cache miss recorded: %+v", st)
-			}
-			if st.ForwardCacheHits < rounds-1 {
-				t.Errorf("ForwardCacheHits = %d, want >= %d (same tree per frame)", st.ForwardCacheHits, rounds-1)
-			}
-		}
-		_ = fabric.Close()
+	st := nodes[1].Stats()
+	if st.ForwardCacheMisses < 1 {
+		t.Errorf("no forward-cache miss recorded: %+v", st)
+	}
+	if st.ForwardCacheHits < rounds-1 {
+		t.Errorf("ForwardCacheHits = %d, want >= %d (same tree per frame)", st.ForwardCacheHits, rounds-1)
 	}
 }

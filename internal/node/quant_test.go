@@ -46,10 +46,10 @@ func (tp *tapTransport) frames(to topology.NodeID) [][]byte {
 	return out
 }
 
-// TestQuantizedFullHeartbeats: full-snapshot heartbeats
-// (DisableDeltaHeartbeats) ship their estimates in the quantized
-// layouts — under 4 bytes per belief on the wire, where the raw float64
-// layouts spend 8.
+// TestQuantizedFullHeartbeats: full-snapshot heartbeats (Since = 0
+// delta frames, forced every period by the ack-clearing reference) ship
+// their estimates in the quantized layouts — under 4 bytes per belief on
+// the wire, where the raw float64 layouts spend 8.
 func TestQuantizedFullHeartbeats(t *testing.T) {
 	g, err := topology.Line(2)
 	if err != nil {
@@ -63,17 +63,16 @@ func TestQuantizedFullHeartbeats(t *testing.T) {
 	for i := range nodes {
 		taps[i] = newTap(fabric.Endpoint(topology.NodeID(i)))
 		nd, err := New(Config{
-			ID:                     topology.NodeID(i),
-			NumProcs:               2,
-			Neighbors:              g.Neighbors(topology.NodeID(i)),
-			DisableDeltaHeartbeats: true,
+			ID:        topology.NodeID(i),
+			NumProcs:  2,
+			Neighbors: g.Neighbors(topology.NodeID(i)),
 		}, taps[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		nodes[i] = nd
 	}
-	settleTicks(nodes, 50)
+	settleFullTicks(nodes, 50)
 	for i, nd := range nodes {
 		s := nd.Stats()
 		if s.DecodeErrors != 0 || s.SnapshotMergeErrors != 0 {
@@ -82,28 +81,35 @@ func TestQuantizedFullHeartbeats(t *testing.T) {
 		if s.HeartbeatsReceived == 0 {
 			t.Errorf("node %d received no heartbeats", i)
 		}
-		frames := taps[i].frames(topology.NodeID(1 - i))
-		if len(frames) == 0 {
-			t.Fatalf("node %d sent no frames", i)
-		}
-		for fi, b := range frames {
+		full := 0
+		for fi, b := range taps[i].frames(topology.NodeID(1 - i)) {
 			f, err := wire.Decode(b)
 			if err != nil {
 				t.Fatalf("node %d frame %d: %v", i, fi, err)
 			}
-			if f.Kind != wire.FrameHeartbeat {
-				t.Fatalf("node %d frame %d: kind %d, want a full heartbeat", i, fi, f.Kind)
+			if f.Kind != wire.FrameKnowledgeDelta {
+				t.Fatalf("node %d frame %d: kind %d, want a knowledge delta", i, fi, f.Kind)
 			}
+			if f.Delta.Since != 0 {
+				continue // an ack raced the reference's clear; not a full snapshot
+			}
+			full++
 			beliefs := 0
-			for _, pr := range f.Heartbeat.Procs {
+			for _, pr := range f.Delta.Snap.Procs {
 				beliefs += len(pr.Est.LogBeliefs)
 			}
-			for _, lr := range f.Heartbeat.Links {
+			for _, lr := range f.Delta.Snap.Links {
 				beliefs += len(lr.Est.LogBeliefs)
+			}
+			if beliefs == 0 {
+				t.Fatalf("node %d frame %d: full snapshot carries no beliefs", i, fi)
 			}
 			if len(b) >= 4*beliefs {
 				t.Errorf("node %d frame %d: %dB for %d beliefs — estimates not quantized", i, fi, len(b), beliefs)
 			}
+		}
+		if full < 40 {
+			t.Errorf("node %d sent %d full-snapshot heartbeats over 50 periods, want >= 40", i, full)
 		}
 	}
 }

@@ -214,6 +214,7 @@ func (f *Fabric) Stats() FabricStats {
 }
 
 // Endpoint returns (creating on first use) the transport endpoint for id.
+// On a closed fabric it returns a closed endpoint whose sends fail.
 func (f *Fabric) Endpoint(id topology.NodeID) Transport {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -225,11 +226,17 @@ func (f *Fabric) Endpoint(id topology.NodeID) Transport {
 		id:     id,
 		queue:  make(chan inboundFrame, f.opts.QueueSize),
 		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+	}
+	if f.closed {
+		// A closed fabric routes nothing: hand back an endpoint that is
+		// already closed, with no receive loop to leak.
+		_ = ep.Close()
+		return ep
 	}
 	if f.opts.SendCost > 0 {
 		ep.links = make(map[topology.NodeID]*linkBuf)
 	}
+	ep.done = make(chan struct{})
 	//adaptivelint:goroutine stop=ep.stop
 	go ep.receiveLoop()
 	f.endpoints[id] = ep
@@ -437,6 +444,7 @@ type fabricEndpoint struct {
 	queue chan inboundFrame
 	//adaptivelint:chan owner=none close=fabricEndpoint.Close
 	stop chan struct{}
+	// done is nil when no receive loop was started (closed fabric).
 	//adaptivelint:chan owner=none close=fabricEndpoint.receiveLoop
 	done      chan struct{}
 	closeOnce sync.Once
@@ -522,7 +530,9 @@ func (ep *fabricEndpoint) SendFrames(to topology.NodeID, batch []FrameBatch) err
 func (ep *fabricEndpoint) Close() error {
 	ep.closeOnce.Do(func() {
 		close(ep.stop)
-		<-ep.done
+		if ep.done != nil {
+			<-ep.done
+		}
 	})
 	return nil
 }

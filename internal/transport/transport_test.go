@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -154,6 +155,18 @@ func TestFabricCloseStopsTraffic(t *testing.T) {
 	}
 	// Idempotent.
 	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// An endpoint made after close is closed too, with no receive loop.
+	goroutines := runtime.NumGoroutine()
+	late := f.Endpoint(2)
+	if err := late.Send(1, []byte("x")); err == nil {
+		t.Error("send from an endpoint made after close should fail")
+	}
+	if got := runtime.NumGoroutine(); got > goroutines {
+		t.Errorf("goroutines grew from %d to %d for an endpoint of a closed fabric", goroutines, got)
+	}
+	if err := late.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

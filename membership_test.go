@@ -18,7 +18,7 @@ func drainCluster(c *adaptivecast.Cluster, id adaptivecast.NodeID) []adaptivecas
 	var out []adaptivecast.Delivery
 	for {
 		select {
-		case d := <-c.Deliveries(id):
+		case d := <-c.Node(id).Deliveries():
 			out = append(out, d)
 		default:
 			return out
@@ -67,7 +67,7 @@ func TestClusterAddNodeDeliversAndForwards(t *testing.T) {
 
 	// Within 3 periods of the last join, a broadcast from an original
 	// member must reach both joiners — the second only via the first.
-	forwardedBefore := c.Stats(first).DataSent
+	forwardedBefore := c.Node(first).Stats().DataSent
 	if _, _, err := c.Broadcast(0, []byte("grown")); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestClusterAddNodeDeliversAndForwards(t *testing.T) {
 			t.Errorf("node %d missed the post-join broadcast", id)
 		}
 	}
-	if got := c.Stats(first).DataSent; got <= forwardedBefore {
+	if got := c.Node(first).Stats().DataSent; got <= forwardedBefore {
 		t.Errorf("joiner %d forwarded nothing (DataSent %d -> %d)", first, forwardedBefore, got)
 	}
 }
@@ -97,7 +97,7 @@ func TestClusterRemoveNode(t *testing.T) {
 	t.Cleanup(func() { _ = c.Close() })
 	tickCluster(c, 30)
 	for id := adaptivecast.NodeID(0); id < 5; id++ {
-		if got := len(c.KnownLinks(id)); got != 5 {
+		if got := len(c.Node(id).KnownLinks()); got != 5 {
 			t.Fatalf("node %d knows %d links before removal, want 5", id, got)
 		}
 	}
@@ -119,7 +119,7 @@ func TestClusterRemoveNode(t *testing.T) {
 		if got := c.Node(id).Epoch(); got != 1 {
 			t.Errorf("node %d at epoch %d after removal, want 1", id, got)
 		}
-		for _, l := range c.KnownLinks(id) {
+		for _, l := range c.Node(id).KnownLinks() {
 			if l.A == leaver || l.B == leaver {
 				t.Errorf("node %d still knows link %v of the departed member", id, l)
 			}

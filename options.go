@@ -118,32 +118,6 @@ func WithExactlyOnceLog(l *ExactlyOnceLog) Option {
 	return func(c *nodeConfig) { c.inner.DedupLog = l }
 }
 
-// WithPlanCache enables or disables the broadcast plan cache (default
-// enabled). While enabled, the (MRT, allocation) plan computed for a
-// broadcast is reused by subsequent broadcasts until the node's knowledge
-// view changes — repeated same-view broadcasts cost an amortized cache
-// lookup instead of a full replan. Cache effectiveness is observable via
-// NodeStats.PlanCacheHits / PlanCacheMisses. Disabling it restores the
-// replan-every-broadcast behavior (mainly for benchmarks and debugging).
-func WithPlanCache(enabled bool) Option {
-	return func(c *nodeConfig) { c.inner.DisablePlanCache = !enabled }
-}
-
-// WithDeltaHeartbeats enables or disables delta heartbeats (default
-// enabled). While enabled, each heartbeat ships only the knowledge
-// records that changed since the view version the receiving neighbor
-// last acknowledged — acks ride the reverse heartbeats, so no extra
-// messages are exchanged — with a full-snapshot fallback whenever the
-// neighbor's acked version is unknown or predates this node's current
-// incarnation. Once estimates converge, deltas shrink to a near-empty
-// liveness header; effectiveness is observable via
-// NodeStats.DeltaHeartbeatsSent / HeartbeatBytesSent. Disabling restores
-// full-snapshot heartbeats on every period (benchmarks, or clusters with
-// peers that predate the delta frame kind).
-func WithDeltaHeartbeats(enabled bool) Option {
-	return func(c *nodeConfig) { c.inner.DisableDeltaHeartbeats = !enabled }
-}
-
 // WithAdaptiveCadence stretches heartbeats for stable neighborhoods:
 // once a neighbor's knowledge delta has been empty, anchored and
 // suspicion-free for a few consecutive periods, that neighbor's
@@ -161,25 +135,9 @@ func WithDeltaHeartbeats(enabled bool) Option {
 // lossy. The trade-off is failure-detection latency on stretched links:
 // a crashed neighbor is suspected after timeout·cadence periods instead
 // of timeout. max is rounded down to whole heartbeat periods (values
-// below 2δ disable stretching); adaptive cadence requires delta
-// heartbeats (the default).
+// below 2δ disable stretching).
 func WithAdaptiveCadence(max time.Duration) Option {
 	return func(c *nodeConfig) { c.adaptiveCadence = max }
-}
-
-// WithForwardCache sizes the forwarder tree cache (default 16 entries;
-// size <= 0 disables it). Received data frames carry their routing tree
-// as a parent vector; the cache lets a forwarder relaying repeated
-// traffic down the same tree reuse one rebuilt tree instead of
-// re-deriving it per frame. Effectiveness is observable via
-// NodeStats.ForwardCacheHits / ForwardCacheMisses.
-func WithForwardCache(size int) Option {
-	return func(c *nodeConfig) {
-		if size <= 0 {
-			size = -1
-		}
-		c.inner.ForwardCacheSize = size
-	}
 }
 
 // WithLaneScheduler enables or disables the per-peer prioritized lane
@@ -236,10 +194,9 @@ func WithObserver(o Observer) Option {
 
 // WithEpoch declares the initial membership epoch (default 0, the static
 // cluster). A node constructed to join a running cluster sets the epoch
-// of the membership change that admits it; its frames then ride wire
-// version 3 with the epoch fence, and AnnounceJoin floods the change to
-// the cluster. Epoch 0 keeps every frame byte-identical to pre-epoch
-// peers.
+// of the membership change that admits it; every epoch-bearing frame it
+// sends carries that epoch for the receivers' epoch fence, and
+// AnnounceJoin floods the change to the cluster.
 func WithEpoch(epoch uint64) Option {
 	return func(c *nodeConfig) { c.inner.Epoch = epoch }
 }

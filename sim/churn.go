@@ -133,7 +133,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnReport, error) {
 		drainOne:
 			for {
 				select {
-				case d := <-c.Deliveries(id):
+				case d := <-c.Node(id).Deliveries():
 					for _, p := range probes {
 						if string(d.Body) == p.body && !p.seen[id] {
 							p.seen[id] = true
