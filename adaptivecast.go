@@ -68,7 +68,9 @@ type (
 	// NodeStats are per-node protocol counters.
 	NodeStats = node.Stats
 	// LaneDrops counts outbound frames shed per lane by the lane
-	// scheduler (NodeStats.LaneDrops; see WithLaneScheduler).
+	// scheduler (NodeStats.LaneDrops; see WithLaneQueueDepth). Control
+	// and Telemetry are always 0: the control lane is never shed, and
+	// there is no telemetry lane.
 	LaneDrops = node.LaneDrops
 )
 

@@ -660,23 +660,24 @@ func BenchmarkHeartbeatAdaptiveCadence(b *testing.B) {
 }
 
 // fanoutSink is the forwarder benchmark's outbound side: it counts
-// logical sends and implements the BatchSender fast path so a per-child
-// burst costs one call.
+// logical sends (atomically — the lane drains call it from one
+// goroutine per peer) and implements the BatchSender fast path so a
+// per-child burst costs one call.
 type fanoutSink struct {
 	id      topology.NodeID
 	handler transport.Handler
-	sends   int
+	sends   atomic.Int64
 }
 
 func (s *fanoutSink) Local() topology.NodeID         { return s.id }
 func (s *fanoutSink) SetHandler(h transport.Handler) { s.handler = h }
 func (s *fanoutSink) Close() error                   { return nil }
 func (s *fanoutSink) Send(topology.NodeID, []byte) error {
-	s.sends++
+	s.sends.Add(1)
 	return nil
 }
 func (s *fanoutSink) SendN(_ topology.NodeID, _ []byte, n int) error {
-	s.sends += n
+	s.sends.Add(int64(n))
 	return nil
 }
 
@@ -703,15 +704,14 @@ func BenchmarkForwardFanout(b *testing.B) {
 		NumProcs:       procs,
 		Neighbors:      []topology.NodeID{0},
 		DeliveryBuffer: 1, // deliveries overflow silently; not under test
-		// Direct sends: this benchmark isolates the forward path (decode,
-		// tree lookup, per-child fanout) and counts sends synchronously;
-		// the lane scheduler's contribution is measured by
-		// BenchmarkForwardPipelined.
-		DisableLaneScheduler: true,
+		// Deep enough that no copy is shed: the count below checks every
+		// allocated copy reached the transport.
+		LaneQueueDepth: 1 << 15,
 	}, sink)
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer nd.Stop()
 	body := []byte("fanout payload 0123456789abcdef")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -728,9 +728,12 @@ func BenchmarkForwardFanout(b *testing.B) {
 		}
 		sink.handler(0, frame)
 	}
+	if !nd.WaitSendIdle(30 * time.Second) {
+		b.Fatal("lanes did not drain")
+	}
 	b.StopTimer()
-	if want := b.N * 60; sink.sends != want {
-		b.Fatalf("forwarded %d copies, want %d", sink.sends, want)
+	if want := int64(b.N) * 60; sink.sends.Load() != want {
+		b.Fatalf("forwarded %d copies, want %d", sink.sends.Load(), want)
 	}
 	if st := nd.Stats(); st.ForwardCacheHits < b.N-1 {
 		b.Fatalf("cache ineffective: %d hits over %d frames", st.ForwardCacheHits, b.N)
@@ -777,69 +780,50 @@ func BenchmarkEpochRebuild(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined send-path benchmarks (lane scheduler, coalescing, zero-alloc
-// encode). BenchmarkBroadcastSustained is the PR's acceptance number:
-// sustained data throughput with the scheduler on must be >= 2x the
-// direct path at saturation. make bench records the results in
-// BENCH_broadcast.json.
+// Send-path benchmarks (lane scheduler, coalescing, zero-alloc encode).
+// make bench records the results in BENCH_broadcast.json.
 // ---------------------------------------------------------------------------
 
 // BenchmarkBroadcastSustained measures sustained broadcast throughput
 // from the hub of a converged 32-node star: every broadcast fans out to
 // all 31 peers directly, so the whole cost lands on (and is drained
-// from) node 0's send path in both modes — no relay work escapes the
-// timer asymmetrically. Each transport flush pays a syscall-sized
-// simulated kernel copy (ClusterConfig.SendCost); on a free transport
-// there is no saturation to pipeline past and the benchmark would only
-// measure queue overhead. Sub-benchmarks compare the synchronous direct
-// path against the lane scheduler (and the scheduler with a small
-// aggregation window). The lane queue is deep enough that nothing is
-// shed — queued work still has to drain inside the timed region
-// (WaitSendIdle), so the comparison counts transport work actually
-// done, not promises queued.
+// from) node 0's send path — no relay work escapes the timer. Each
+// transport flush pays a syscall-sized simulated kernel copy
+// (ClusterConfig.SendCost); on a free transport there is no saturation
+// to pipeline past and the benchmark would only measure queue overhead.
+// The lane queue is deep enough that nothing is shed — queued work
+// still has to drain inside the timed region (WaitSendIdle), so the
+// number counts transport work actually done, not promises queued.
 func BenchmarkBroadcastSustained(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		lanes  bool
-		window time.Duration
-	}{
-		{"direct", false, 0},
-		{"lanes", true, 0},
-		{"lanes-window", true, 200 * time.Microsecond},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			g, err := adaptivecast.Star(32)
-			if err != nil {
-				b.Fatal(err)
-			}
-			c := benchConvergeGraph(b, g, func(cfg *adaptivecast.ClusterConfig) {
-				cfg.Options = append(cfg.Options,
-					adaptivecast.WithLaneScheduler(mode.lanes),
-					adaptivecast.WithLaneQueueDepth(1<<15),
-					adaptivecast.WithAggregationWindow(mode.window))
-				cfg.SendCost = 32 << 10
-			})
-			body := []byte("sustained broadcast payload 0123456789abcdef0123456789abcdef")
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, _, err := c.Broadcast(0, body); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			if mode.lanes && !c.Node(0).WaitSendIdle(30*time.Second) {
-				b.Fatal("lanes did not drain")
-			}
-			b.StopTimer()
-			st := c.Node(0).Stats()
-			if d := st.LaneDrops; d != (adaptivecast.LaneDrops{}) {
-				b.Fatalf("lane drops %+v at depth 2^15 — throughput number would count shed frames", d)
-			}
-			b.ReportMetric(float64(st.CoalescedFrames)/float64(b.N), "coalesced/op")
+	b.Run("lanes", func(b *testing.B) {
+		g, err := adaptivecast.Star(32)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c := benchConvergeGraph(b, g, func(cfg *adaptivecast.ClusterConfig) {
+			cfg.Options = append(cfg.Options, adaptivecast.WithLaneQueueDepth(1<<15))
+			cfg.SendCost = 32 << 10
 		})
-	}
+		body := []byte("sustained broadcast payload 0123456789abcdef0123456789abcdef")
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if _, _, err := c.Broadcast(0, body); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+		if !c.Node(0).WaitSendIdle(30 * time.Second) {
+			b.Fatal("lanes did not drain")
+		}
+		b.StopTimer()
+		st := c.Node(0).Stats()
+		if d := st.LaneDrops; d != (adaptivecast.LaneDrops{}) {
+			b.Fatalf("lane drops %+v at depth 2^15 — throughput number would count shed frames", d)
+		}
+		b.ReportMetric(float64(st.CoalescedFrames)/float64(b.N), "coalesced/op")
+	})
 }
 
 // pipeFlushBytes is the fixed per-flush cost pipeSink charges: every
@@ -854,9 +838,7 @@ const pipeFlushBytes = 32 << 10
 // transport with per-peer write buffers behind per-peer locks (the shape
 // of a TCP transport's connection buffers). Each transport call pays one
 // pipeFlushBytes copy under the peer's lock — cost the lane scheduler's
-// per-peer drains can run in parallel and its multi-frame flushes can
-// amortize, while the synchronous forwarder pays it serially on the
-// handler goroutine.
+// per-peer drains run in parallel and its multi-frame flushes amortize.
 type pipeSink struct {
 	id      topology.NodeID
 	handler transport.Handler
@@ -912,8 +894,8 @@ func (s *pipeSink) SendFrames(to topology.NodeID, batch []transport.FrameBatch) 
 
 // BenchmarkForwardPipelined measures the interior-forwarder hot path
 // (decode, cached tree fetch, 60-copy fan-out to 30 children) with the
-// outbound work done synchronously on the handler (direct) versus
-// pipelined through the per-peer lane drains (lanes).
+// outbound work pipelined through the per-peer lane drains over a
+// transport whose every call costs a kernel-sized copy.
 func BenchmarkForwardPipelined(b *testing.B) {
 	const procs = 32
 	parents := make([]topology.NodeID, procs)
@@ -926,59 +908,51 @@ func BenchmarkForwardPipelined(b *testing.B) {
 		alloc[i] = 2
 	}
 
-	for _, mode := range []struct {
-		name  string
-		lanes bool
-	}{{"direct", false}, {"lanes", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			sink := newPipeSink(1)
-			nd, err := node.New(node.Config{
-				ID:                   1,
-				NumProcs:             procs,
-				Neighbors:            []topology.NodeID{0},
-				DisableLaneScheduler: !mode.lanes,
-				LaneQueueDepth:       1 << 15,
-				DeliveryBuffer:       1, // deliveries overflow silently; not under test
-			}, sink)
+	b.Run("lanes", func(b *testing.B) {
+		sink := newPipeSink(1)
+		nd, err := node.New(node.Config{
+			ID:             1,
+			NumProcs:       procs,
+			Neighbors:      []topology.NodeID{0},
+			LaneQueueDepth: 1 << 15,
+			DeliveryBuffer: 1, // deliveries overflow silently; not under test
+		}, sink)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer nd.Stop()
+		body := []byte("fanout payload 0123456789abcdef")
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			frame, err := wire.Encode(&wire.Frame{Kind: wire.FrameData, Data: &wire.DataMsg{
+				Origin:      0,
+				Seq:         uint64(i + 1),
+				Root:        0,
+				Parents:     parents,
+				AllocByNode: alloc,
+				Body:        body,
+			}})
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer nd.Stop()
-			body := []byte("fanout payload 0123456789abcdef")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				frame, err := wire.Encode(&wire.Frame{Kind: wire.FrameData, Data: &wire.DataMsg{
-					Origin:      0,
-					Seq:         uint64(i + 1),
-					Root:        0,
-					Parents:     parents,
-					AllocByNode: alloc,
-					Body:        body,
-				}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sink.handler(0, frame)
-			}
-			if mode.lanes && !nd.WaitSendIdle(30*time.Second) {
-				b.Fatal("lanes did not drain")
-			}
-			b.StopTimer()
-			if want := int64(b.N) * 60; sink.sends.Load() != want {
-				b.Fatalf("forwarded %d copies, want %d", sink.sends.Load(), want)
-			}
-		})
-	}
+			sink.handler(0, frame)
+		}
+		if !nd.WaitSendIdle(30 * time.Second) {
+			b.Fatal("lanes did not drain")
+		}
+		b.StopTimer()
+		if want := int64(b.N) * 60; sink.sends.Load() != want {
+			b.Fatalf("forwarded %d copies, want %d", sink.sends.Load(), want)
+		}
+	})
 }
 
 // BenchmarkControlLatencyUnderLoad measures control-frame *delivery*
 // latency — scheduler enqueue to receiver handler, over a fabric link
 // with realistic latency and per-flush send cost — idle versus with the
-// data lane saturated by a background enqueuer. The lane scheduler's
-// acceptance bar is that this stays flat (<= 1.2x the idle baseline):
-// control preempts queued data at every drain round and the aggregation
-// window never holds it, so a saturated datapath adds at most one
-// in-flight data flush of delay — noise against the link latency.
+// data lane saturated by a background enqueuer. Control preempts queued
+// data at every drain round, so a saturated datapath adds at most one
+// in-flight data flush of delay.
 func BenchmarkControlLatencyUnderLoad(b *testing.B) {
 	for _, mode := range []struct {
 		name     string
@@ -1004,7 +978,7 @@ func BenchmarkControlLatencyUnderLoad(b *testing.B) {
 					delivered <- struct{}{}
 				}
 			})
-			s := lanes.New(sender, lanes.Config{QueueDepth: 256, Window: 200 * time.Microsecond})
+			s := lanes.New(sender, lanes.Config{QueueDepth: 256})
 			defer func() { _ = s.Close() }()
 
 			stop := make(chan struct{})

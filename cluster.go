@@ -206,7 +206,7 @@ func (c *Cluster) AddNode(neighbors ...NodeID) (NodeID, error) {
 }
 
 // RemoveNode removes a member from the running cluster: the node is
-// stopped, the topology tombstones it under a new membership epoch, and
+// stopped and its fabric endpoint closed, the topology tombstones it under a new membership epoch, and
 // a surviving neighbor announces the departure — every remaining member
 // tombstones the leaver's records, so delta heartbeats stop carrying
 // them and broadcast trees route around it. Removal that would
@@ -269,6 +269,12 @@ func (c *Cluster) RemoveNode(id NodeID) error {
 		return err
 	}
 	if err := c.nodes[id].Close(); err != nil {
+		return err
+	}
+	// The Cluster owns the fabric endpoints (Node.Close leaves the
+	// transport to its owner): stop the leaver's receive loop now rather
+	// than at Close.
+	if err := c.fabric.Endpoint(id).Close(); err != nil {
 		return err
 	}
 	return c.graph.RemoveNode(id)

@@ -1,9 +1,8 @@
-// Package lanes is the prioritized, pipelined send path between the node
-// and its transport: a per-peer three-lane scheduler (control > data >
-// telemetry) with bounded queues and watermark actions, modeled on the
-// RSPP lane-scheduler shape. The node classifies every outbound frame
-// into a lane and enqueues it; a per-peer drain goroutine flushes queued
-// frames through the transport's batch fast paths, strictly by priority:
+// Package lanes is the node's send path: a per-peer two-lane scheduler
+// (control > data) with bounded data queues, modeled on the RSPP
+// lane-scheduler shape. The node classifies every outbound frame into a
+// lane and enqueues it; a per-peer drain goroutine flushes queued frames
+// through the transport's batch fast paths, strictly by priority:
 //
 //   - Control (heartbeats, knowledge deltas, membership announcements —
 //     everything the knowledge plane depends on) is never dropped and
@@ -11,24 +10,20 @@
 //     saturated datapath instead of starving behind it.
 //   - Data (broadcast payloads) is bounded: beyond the queue depth new
 //     frames are shed (counted, and tolerable — loss is the protocol's
-//     model), and past the high-water mark the aggregation window is
-//     bypassed so pending frames coalesce into multi-frame flushes
-//     (transport.SendFrames) immediately.
-//   - Telemetry is shed first: it is dropped the moment its own queue
-//     fills or the data lane crosses its high-water mark. Nothing
-//     protocol-critical ever rides this lane.
+//     model). Frames that queue up while the drain is busy leave together
+//     as one multi-frame flush (transport.SendFrames).
 //
-// A configurable time-window aggregator (Config.Window, default 0 = off)
-// additionally holds data frames briefly so *different* broadcasts
-// headed to the same peer merge into one flush — one syscall on TCP, one
-// lock acquisition on the in-process Fabric.
+// Enqueue never blocks on the network. That is what keeps the node safe
+// on a transport whose writes can block (TCP without write deadlines):
+// the node's frame handler only enqueues, so a stuck peer stalls its own
+// drain goroutine and nothing else.
 //
 // Buffer ownership: Enqueue takes ownership of the frame buffer's
 // lifecycle, not its storage — the scheduler never mutates a frame, and
 // calls the item's release callback exactly once, after the frame was
 // flushed (the transport's Send contract returns the buffer to the
-// caller on return), shed, or drained by Close. Callers recycling
-// pooled encode buffers hand the pool's put as the release.
+// caller on return), shed, or drained by Close or Forget. Callers
+// recycling pooled encode buffers hand the pool's put as the release.
 package lanes
 
 import (
@@ -49,40 +44,18 @@ const (
 	// deltas, membership announcements. Never dropped, always first.
 	Control Lane = iota
 	// Data carries broadcast payloads: bounded, shed beyond QueueDepth,
-	// coalesced into multi-frame flushes under pressure.
+	// coalesced into multi-frame flushes when they queue up.
 	Data
-	// Telemetry carries operational frames nothing in the protocol
-	// depends on; shed first under pressure.
-	Telemetry
 
 	numLanes
 )
 
-func (l Lane) String() string {
-	switch l {
-	case Control:
-		return "control"
-	case Data:
-		return "data"
-	case Telemetry:
-		return "telemetry"
-	}
-	return "invalid"
-}
-
 // Config tunes the scheduler.
 type Config struct {
-	// QueueDepth bounds each peer's data and telemetry queues (default
-	// 256). The control queue is unbounded by design: control frames are
-	// few (O(neighbors) per heartbeat period) and must never be dropped.
+	// QueueDepth bounds each peer's data queue (default 256). The
+	// control queue is unbounded by design: control frames are few
+	// (O(neighbors) per heartbeat period) and must never be dropped.
 	QueueDepth int
-	// Window is the data-lane aggregation window: a data frame may wait
-	// up to this long for more frames to the same peer before flushing,
-	// so different broadcasts coalesce into one multi-frame flush. 0 (the
-	// default) disables the wait — frames still coalesce naturally when
-	// they queue up faster than the drain flushes. The window never
-	// delays control frames, and watermark pressure bypasses it.
-	Window time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -95,9 +68,8 @@ func (c Config) withDefaults() Config {
 // Drops counts frames shed per lane. Control is structurally always 0 —
 // the field exists so tests can assert exactly that.
 type Drops struct {
-	Control   int
-	Data      int
-	Telemetry int
+	Control int
+	Data    int
 }
 
 // Stats is a snapshot of scheduler counters.
@@ -108,7 +80,7 @@ type Stats struct {
 	// to preserve strict ordering; each counts).
 	Flushes int
 	// CoalescedFlushes counts data flushes that carried at least two
-	// distinct frames — the aggregation (or natural batching) win.
+	// distinct frames — frames that queued up while the drain was busy.
 	CoalescedFlushes int
 	// CoalescedFrames counts data frames that shared a flush with at
 	// least one other frame.
@@ -127,15 +99,17 @@ type item struct {
 }
 
 // Scheduler is the send path: one instance per node, one drain goroutine
-// per peer (created lazily on first send to that peer).
+// per peer (created lazily on first send to that peer, stopped by Forget
+// or Close).
 type Scheduler struct {
 	tr  transport.Transport
 	cfg Config
 
-	mu     sync.Mutex
-	peers  map[topology.NodeID]*peer
-	closed bool
-	wg     sync.WaitGroup
+	mu      sync.Mutex
+	peers   map[topology.NodeID]*peer
+	retired map[topology.NodeID]bool // forgotten peers; Enqueue refuses them
+	closed  bool
+	wg      sync.WaitGroup
 
 	drops            [numLanes]atomic.Int64
 	flushes          atomic.Int64
@@ -149,30 +123,38 @@ type Scheduler struct {
 // so queued frames drain onto a live transport.
 func New(tr transport.Transport, cfg Config) *Scheduler {
 	return &Scheduler{
-		tr:    tr,
-		cfg:   cfg.withDefaults(),
-		peers: make(map[topology.NodeID]*peer),
+		tr:      tr,
+		cfg:     cfg.withDefaults(),
+		peers:   make(map[topology.NodeID]*peer),
+		retired: make(map[topology.NodeID]bool),
 	}
 }
 
-// ErrClosed is returned by Enqueue after Close.
+// ErrClosed is returned by Enqueue after Close, and by Enqueue to a
+// peer after Forget.
 var ErrClosed = errors.New("lanes: scheduler closed")
 
 // Enqueue hands one frame to a peer's lane. copies is the logical copy
 // count (the per-edge m[j] burst; <= 0 is a no-op). release, if non-nil,
 // is called exactly once when the scheduler is done with the frame —
-// flushed, shed, or drained by Close — including on an error return, so
-// the caller's buffer accounting never leaks.
+// flushed, shed, or drained by Close or Forget — including on an error
+// return, so the caller's buffer accounting never leaks.
 //
 // A nil error means the frame was accepted into a queue (or, for a shed
-// telemetry/data frame, accounted); it does not mean any copy reached
-// the transport, mirroring Send's best-effort contract.
+// data frame, accounted); it does not mean any copy reached the
+// transport, mirroring Send's best-effort contract.
 func (s *Scheduler) Enqueue(to topology.NodeID, ln Lane, frame []byte, copies int, release func()) error {
 	if copies <= 0 {
 		if release != nil {
 			release()
 		}
 		return nil
+	}
+	if ln >= numLanes {
+		if release != nil {
+			release()
+		}
+		return errors.New("lanes: invalid lane")
 	}
 	p, err := s.peerFor(to)
 	if err != nil {
@@ -181,7 +163,6 @@ func (s *Scheduler) Enqueue(to topology.NodeID, ln Lane, frame []byte, copies in
 		}
 		return err
 	}
-	it := item{frame: frame, copies: copies, release: release}
 
 	p.mu.Lock()
 	if p.closed {
@@ -191,37 +172,15 @@ func (s *Scheduler) Enqueue(to topology.NodeID, ln Lane, frame []byte, copies in
 		}
 		return ErrClosed
 	}
-	depth := s.cfg.QueueDepth
-	shed := false
-	switch ln {
-	case Control:
-		// Unbounded: control is never dropped.
-	case Data:
-		shed = len(p.q[Data]) >= depth
-	case Telemetry:
-		// Watermark action "shed telemetry first": telemetry goes the
-		// moment its own queue fills *or* the data lane is under
-		// pressure — a busy datapath spends its queue budget on data.
-		shed = len(p.q[Telemetry]) >= depth || len(p.q[Data]) >= depth/2
-	default:
+	if ln == Data && len(p.q[Data]) >= s.cfg.QueueDepth {
 		p.mu.Unlock()
-		if release != nil {
-			release()
-		}
-		return errors.New("lanes: invalid lane")
-	}
-	if shed {
-		p.mu.Unlock()
-		s.drops[ln].Add(1)
+		s.drops[Data].Add(1)
 		if release != nil {
 			release()
 		}
 		return nil
 	}
-	if ln == Data && len(p.q[Data]) == 0 {
-		p.dataSince = time.Now()
-	}
-	p.q[ln] = append(p.q[ln], it)
+	p.q[ln] = append(p.q[ln], item{frame: frame, copies: copies, release: release})
 	s.pending.Add(1)
 	p.mu.Unlock()
 	p.kick()
@@ -232,7 +191,7 @@ func (s *Scheduler) Enqueue(to topology.NodeID, ln Lane, frame []byte, copies in
 func (s *Scheduler) peerFor(to topology.NodeID) (*peer, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed || s.retired[to] {
 		return nil, ErrClosed
 	}
 	if p, ok := s.peers[to]; ok {
@@ -274,9 +233,8 @@ func (s *Scheduler) WaitIdle(timeout time.Duration) bool {
 func (s *Scheduler) Stats() Stats {
 	return Stats{
 		Drops: Drops{
-			Control:   int(s.drops[Control].Load()),
-			Data:      int(s.drops[Data].Load()),
-			Telemetry: int(s.drops[Telemetry].Load()),
+			Control: int(s.drops[Control].Load()),
+			Data:    int(s.drops[Data].Load()),
 		},
 		Flushes:          int(s.flushes.Load()),
 		CoalescedFlushes: int(s.coalescedFlushes.Load()),
@@ -285,10 +243,28 @@ func (s *Scheduler) Stats() Stats {
 	}
 }
 
+// Forget retires one peer — a departed process, whose ID is never
+// reused: its queued frames still drain onto the transport, then its
+// drain goroutine exits, and Enqueue to it fails with ErrClosed from
+// now on. Forget does not wait for the drain (a departed peer's
+// transport may be slow to fail); Close does.
+func (s *Scheduler) Forget(to topology.NodeID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return
+	}
+	s.retired[to] = true
+	if p, ok := s.peers[to]; ok {
+		delete(s.peers, to)
+		p.shutdown()
+	}
+}
+
 // Close drains every queue — control and data frames still flush onto
-// the transport; a pending aggregation window is cut short — then stops
-// the drain goroutines. Enqueue fails afterwards. Close the scheduler
-// before the transport.
+// the transport — then stops the drain goroutines, forgotten peers'
+// included. Enqueue fails afterwards. Close the scheduler before the
+// transport.
 func (s *Scheduler) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -297,17 +273,10 @@ func (s *Scheduler) Close() error {
 		return nil
 	}
 	s.closed = true
-	peers := make([]*peer, 0, len(s.peers))
 	for _, p := range s.peers {
-		peers = append(peers, p)
+		p.shutdown()
 	}
 	s.mu.Unlock()
-	for _, p := range peers {
-		p.mu.Lock()
-		p.closed = true
-		p.mu.Unlock()
-		close(p.stop)
-	}
 	s.wg.Wait()
 	return nil
 }
@@ -322,13 +291,26 @@ type peer struct {
 	to topology.NodeID
 	//adaptivelint:chan owner=peer.kick close=never
 	wake chan struct{}
-	//adaptivelint:chan owner=none close=Scheduler.Close
+	// stop is closed once, by shutdown, which Scheduler.Close and
+	// Scheduler.Forget call with the peer removed from (or the scheduler
+	// closed to) further lookups.
+	//adaptivelint:chan owner=none close=peer.shutdown
 	stop chan struct{}
 
-	mu        sync.Mutex
-	closed    bool
-	q         [numLanes][]item
-	dataSince time.Time // arrival of the oldest queued data frame
+	mu     sync.Mutex
+	closed bool
+	q      [numLanes][]item
+}
+
+// shutdown marks the peer closed to Enqueue and tells its drain to
+// finish what is queued and exit. Callers hold the scheduler lock, and
+// reach each peer at most once: Forget removes it from the map, Close
+// runs once.
+func (p *peer) shutdown() {
+	p.mu.Lock()
+	p.closed = true
+	p.mu.Unlock()
+	close(p.stop)
 }
 
 // kick nudges the drain goroutine; a full wake channel means a nudge is
@@ -343,30 +325,15 @@ func (p *peer) kick() {
 // loop drains the peer's lanes by strict priority until closed and
 // empty. Control flushes frame by frame (ordering is part of the
 // protocol's serialized-input assumption); data flushes as one
-// multi-frame batch, which is where coalescing happens; telemetry
-// flushes only when both higher lanes are empty.
+// multi-frame batch, which is where coalescing happens.
 func (p *peer) loop() {
 	defer p.s.wg.Done()
 	for {
-		ctl, data, tel, wait, done := p.collect()
+		ctl, data, done := p.collect()
 		if done {
 			return
 		}
-		if wait > 0 {
-			// collect popped any queued control frames even though data is
-			// held for the window — flush them before sleeping so the
-			// aggregation window never delays the control lane.
-			p.flushOneByOne(ctl)
-			timer := time.NewTimer(wait)
-			select {
-			case <-p.wake:
-			case <-timer.C:
-			case <-p.stop:
-			}
-			timer.Stop()
-			continue
-		}
-		if ctl == nil && data == nil && tel == nil {
+		if ctl == nil && data == nil {
 			select {
 			case <-p.wake:
 			case <-p.stop:
@@ -375,57 +342,24 @@ func (p *peer) loop() {
 		}
 		p.flushOneByOne(ctl)
 		p.flushBatch(data)
-		p.flushOneByOne(tel)
 	}
 }
 
-// collect pops whatever is flushable now, under the queue lock. wait is
-// how long the drain should sleep for the data aggregation window to
-// fill (0 = nothing to wait for); done reports a closed and fully
-// drained peer.
-func (p *peer) collect() (ctl, data, tel []item, wait time.Duration, done bool) {
+// collect pops both queues under the queue lock; done reports a closed
+// and fully drained peer.
+func (p *peer) collect() (ctl, data []item, done bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	ctl = p.take(Control)
-	if n := len(p.q[Data]); n > 0 {
-		// The aggregation window holds a young, small data queue open so
-		// more broadcasts can join the flush; pressure (high-water mark)
-		// or closure cuts it short.
-		w := p.s.cfg.Window
-		underPressure := n >= p.s.cfg.QueueDepth/2
-		if w > 0 && !underPressure && !p.closed {
-			if age := time.Since(p.dataSince); age < w {
-				wait = w - age
-			}
-		}
-		if wait == 0 {
-			data = p.take(Data)
-		}
-	}
-	if ctl == nil && data == nil && wait == 0 {
-		tel = p.take(Telemetry)
-	}
-	// Closure forces wait to 0 above, so on a closed peer every queue
-	// was just popped: nothing left means the drain is complete.
-	done = p.closed && ctl == nil && data == nil && tel == nil
-	return ctl, data, tel, wait, done
-}
-
-// take pops a lane's whole queue (lock held by caller). The pending
-// counter is decremented by the flush functions once the frames have
-// actually reached the transport, so WaitIdle covers in-flight flushes,
-// not just queue occupancy.
-func (p *peer) take(ln Lane) []item {
-	items := p.q[ln]
-	if len(items) == 0 {
-		return nil
-	}
-	p.q[ln] = nil
-	return items
+	ctl, p.q[Control] = p.q[Control], nil
+	data, p.q[Data] = p.q[Data], nil
+	done = p.closed && ctl == nil && data == nil
+	return ctl, data, done
 }
 
 // flushOneByOne sends items individually through the SendN fast path,
-// preserving per-frame ordering.
+// preserving per-frame ordering. The pending counter drops only once a
+// frame has reached the transport, so WaitIdle covers in-flight
+// flushes, not just queue occupancy.
 func (p *peer) flushOneByOne(items []item) {
 	for _, it := range items {
 		if _, err := transport.SendN(p.s.tr, p.to, it.frame, it.copies); err != nil {

@@ -1,6 +1,7 @@
 package lanes
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -204,103 +205,23 @@ func TestControlNeverShed(t *testing.T) {
 	}
 }
 
-// TestTelemetryShedUnderDataPressure: telemetry is refused the moment
-// the data lane crosses half its depth, even though telemetry's own
-// queue is empty.
-func TestTelemetryShedUnderDataPressure(t *testing.T) {
-	const depth = 4
-	tr := &recTransport{entered: make(chan struct{}, 64), gate: make(chan struct{})}
-	s := New(tr, Config{QueueDepth: depth})
-
-	if err := s.Enqueue(1, Data, frame(0), 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	<-tr.entered
-	for i := byte(1); i <= depth/2; i++ { // data lane at the half-depth watermark
-		if err := s.Enqueue(1, Data, frame(i), 1, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Enqueue(1, Telemetry, frame(0xE0), 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats().Drops.Telemetry; got != 1 {
-		t.Fatalf("Drops.Telemetry = %d, want 1", got)
-	}
-	tr.open()
-	waitIdle(t, s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAggregationWindowCoalesces holds three broadcasts inside one
-// window and asserts they leave as a single multi-frame flush.
-func TestAggregationWindowCoalesces(t *testing.T) {
-	tr := &recTransport{}
-	s := New(tr, Config{QueueDepth: 64, Window: 50 * time.Millisecond})
-	defer func() { _ = s.Close() }()
-
-	for i := byte(0); i < 3; i++ {
-		if err := s.Enqueue(7, Data, frame(i), 1, nil); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	waitIdle(t, s)
-
-	flushes := tr.snapshot()
-	if len(flushes) != 1 {
-		t.Fatalf("got %d flushes, want 1 coalesced flush: %+v", len(flushes), flushes)
-	}
-	if got := len(flushes[0].frames); got != 3 {
-		t.Fatalf("coalesced flush carried %d frames, want 3", got)
-	}
-	st := s.Stats()
-	if st.CoalescedFlushes != 1 || st.CoalescedFrames != 3 {
-		t.Fatalf("coalesced stats = %d flushes / %d frames, want 1/3", st.CoalescedFlushes, st.CoalescedFrames)
-	}
-}
-
-// TestWindowDoesNotDelayControl: a control frame enqueued while a data
-// window is open flushes immediately, ahead of the held data.
-func TestWindowDoesNotDelayControl(t *testing.T) {
-	tr := &recTransport{}
-	s := New(tr, Config{QueueDepth: 64, Window: 80 * time.Millisecond})
-	defer func() { _ = s.Close() }()
-
-	if err := s.Enqueue(7, Data, frame(0xD0), 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(5 * time.Millisecond) // window now open, data held
-	if err := s.Enqueue(7, Control, frame(0xC0), 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	waitIdle(t, s)
-
-	flushes := tr.snapshot()
-	if len(flushes) < 2 {
-		t.Fatalf("got %d flushes, want control then data", len(flushes))
-	}
-	if flushes[0].frames[0][0] != 0xC0 {
-		t.Fatalf("first flush carried %#x, want the control frame", flushes[0].frames[0][0])
-	}
-}
-
 // TestCloseDrainsQueues: Close flushes everything still queued onto the
-// transport — cutting a pending aggregation window short — and
-// subsequent Enqueues fail with their release run.
+// transport before it returns, and subsequent Enqueues fail with their
+// release run. A blocked transport holds the frames in the queues until
+// Close has begun, so only Close's drain can get them out.
 func TestCloseDrainsQueues(t *testing.T) {
-	tr := &recTransport{}
-	// An hour-long window would otherwise hold the data frames hostage:
-	// only Close's window cut can get them onto the transport.
-	s := New(tr, Config{QueueDepth: 64, Window: time.Hour})
+	tr := &recTransport{entered: make(chan struct{}, 16), gate: make(chan struct{})}
+	s := New(tr, Config{QueueDepth: 64})
 
 	var mu sync.Mutex
 	released := 0
 	release := func() { mu.Lock(); released++; mu.Unlock() }
 
-	for i := byte(0); i < 5; i++ {
+	if err := s.Enqueue(1, Data, frame(0), 2, release); err != nil {
+		t.Fatal(err)
+	}
+	<-tr.entered // the drain goroutine is now blocked mid-flush
+	for i := byte(1); i < 5; i++ {
 		if err := s.Enqueue(1, Data, frame(i), 2, release); err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +229,20 @@ func TestCloseDrainsQueues(t *testing.T) {
 	if err := s.Enqueue(1, Control, frame(0xC0), 1, release); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Close(); err != nil {
+
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	for {
+		s.mu.Lock()
+		c := s.closed
+		s.mu.Unlock()
+		if c {
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	tr.open()
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
 
@@ -335,6 +269,57 @@ func TestCloseDrainsQueues(t *testing.T) {
 	if released != 7 {
 		t.Fatalf("release after failed Enqueue ran %d times total, want 7 (the rejected frame's buffer must not leak)", released)
 	}
+}
+
+// TestForgetDrainsAndStops: Forget flushes the peer's queued frames,
+// ends its drain goroutine, refuses later frames to that peer (with
+// their release run), and leaves other peers untouched.
+func TestForgetDrainsAndStops(t *testing.T) {
+	tr := &recTransport{entered: make(chan struct{}, 16), gate: make(chan struct{})}
+	s := New(tr, Config{QueueDepth: 64})
+	defer func() { tr.open(); _ = s.Close() }()
+
+	var mu sync.Mutex
+	released := 0
+	release := func() { mu.Lock(); released++; mu.Unlock() }
+
+	if err := s.Enqueue(1, Data, frame(0), 1, release); err != nil {
+		t.Fatal(err)
+	}
+	<-tr.entered // peer 1's drain is blocked mid-flush
+	if err := s.Enqueue(1, Control, frame(0xC0), 1, release); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Enqueue(1, Data, frame(1), 1, release); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	s.Forget(1)
+	tr.open()
+	waitIdle(t, s)
+	if got := len(tr.snapshot()); got != 3 {
+		t.Fatalf("transport saw %d flushes, want the 3 frames queued before Forget", got)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() >= before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines %d, want fewer than %d: the forgotten peer's drain never exited", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if err := s.Enqueue(1, Control, frame(0xC1), 1, release); err != ErrClosed {
+		t.Fatalf("Enqueue to a forgotten peer = %v, want ErrClosed", err)
+	}
+	mu.Lock()
+	if released != 4 {
+		t.Errorf("release ran %d times, want 4 (3 flushed + 1 refused)", released)
+	}
+	mu.Unlock()
+	if err := s.Enqueue(2, Control, frame(0xC2), 1, nil); err != nil {
+		t.Fatalf("Enqueue to another peer after Forget: %v", err)
+	}
+	waitIdle(t, s)
 }
 
 // TestCopiesRideTheFlush: the logical copy count survives into the

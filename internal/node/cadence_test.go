@@ -3,7 +3,9 @@ package node
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/transport"
@@ -16,6 +18,37 @@ func heartbeatsSentAll(nodes []*Node) int {
 		total += nd.Stats().HeartbeatsSent
 	}
 	return total
+}
+
+// tickInOrder runs `periods` heartbeat rounds one node at a time: after
+// each Tick it waits until every heartbeat sent so far has been handled,
+// so each frame reaches its receiver before the next node ticks. On a
+// lossless fabric this fixes the order of arrivals and ticks, which the
+// cadence controller's stability test depends on; settleTicks, which
+// ticks every node before draining, leaves that order to the scheduler.
+func tickInOrder(t *testing.T, nodes []*Node, periods int) {
+	t.Helper()
+	balanced := func() bool {
+		sent, handled := 0, 0
+		for _, nd := range nodes {
+			s := nd.Stats()
+			sent += s.HeartbeatsSent
+			handled += s.HeartbeatsReceived + s.SnapshotMergeErrors + s.DecodeErrors + s.StaleEpochFrames
+		}
+		return sent == handled
+	}
+	for p := 0; p < periods; p++ {
+		for _, nd := range nodes {
+			nd.Tick()
+			deadline := time.Now().Add(5 * time.Second)
+			for !balanced() {
+				if time.Now().After(deadline) {
+					t.Fatalf("period %d: heartbeats still in flight after 5s", p)
+				}
+				runtime.Gosched()
+			}
+		}
+	}
 }
 
 // TestAdaptiveCadenceCutsSteadyStateFrames is the tentpole acceptance
@@ -39,9 +72,9 @@ func TestAdaptiveCadenceCutsSteadyStateFrames(t *testing.T) {
 		// DeltaEpsilon (it decays exponentially): re-stamp snap-backs then
 		// become rare enough that the measurement window sees the steady
 		// stretched cadence, not the tail of convergence.
-		settleTicks(nodes, 600)
+		tickInOrder(t, nodes, 600)
 		before := heartbeatsSentAll(nodes)
-		settleTicks(nodes, 64)
+		tickInOrder(t, nodes, 64)
 		return heartbeatsSentAll(nodes) - before
 	}
 

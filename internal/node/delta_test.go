@@ -55,6 +55,7 @@ func settleWith(nodes []*Node, periods int, tick func(*Node)) {
 		for _, nd := range nodes {
 			tick(nd)
 		}
+		waitSendIdle(nodes)
 		last := received()
 		for attempt := 0; attempt < 50; attempt++ {
 			time.Sleep(500 * time.Microsecond)

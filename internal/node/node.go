@@ -75,7 +75,7 @@ type Stats struct {
 	StaleEpochFrames    int // frames fenced off because they carried an older membership epoch
 	EpochChanges        int // membership epoch adoptions (joins/leaves applied, catch-ups included)
 
-	// Send-path counters (see Config.DisableLaneScheduler and the encode pool).
+	// Send-path counters (the lane scheduler and the encode pool).
 	LaneDrops        LaneDrops // outbound frames shed by the lane scheduler, per lane
 	CoalescedFlushes int       // data flushes that carried >= 2 distinct coalesced frames
 	CoalescedFrames  int       // data frames that shared a flush with at least one other
@@ -87,8 +87,10 @@ type Stats struct {
 // Control is structurally always 0 — the control lane is unbounded by
 // design — and the field exists so tests can assert exactly that.
 type LaneDrops struct {
-	Control   int
-	Data      int
+	Control int
+	Data    int
+	// Telemetry is always 0: the scheduler has no telemetry lane. The
+	// field stays so existing readers of LaneDrops keep compiling.
 	Telemetry int
 }
 
@@ -211,27 +213,10 @@ type Config struct {
 	// falsely suspecting (or under-counting) a quiet-by-design neighbor.
 	// Values <= 1 disable stretching (the default).
 	AdaptiveCadenceMax int
-	// DisableLaneScheduler turns off the per-peer prioritized lane
-	// scheduler (control > data > telemetry) and reverts every send to a
-	// synchronous transport call on the calling goroutine. The scheduler
-	// is on by default: sends are asynchronous hand-offs to bounded
-	// per-peer queues, protocol-critical control frames (heartbeats,
-	// deltas, membership repairs) are never shed and overtake queued
-	// data, and each peer's data drains in coalesced batches through the
-	// transport's multi-frame fast path. Disable it only when the
-	// synchronous direct path is required — deterministic single-threaded
-	// drivers, or tests pinning per-call transport behavior.
-	DisableLaneScheduler bool
-	// LaneQueueDepth bounds each peer's data lane when the scheduler is
-	// on (default 256). At the high watermark new data frames are shed
-	// and counted in Stats.LaneDrops; the control lane is never bounded.
+	// LaneQueueDepth bounds each peer's data lane (default 256). At the
+	// high watermark new data frames are shed and counted in
+	// Stats.LaneDrops; the control lane is never bounded.
 	LaneQueueDepth int
-	// AggregationWindow holds queued data frames back up to this long so
-	// several broadcasts to one peer coalesce into one transport flush.
-	// 0 (the default) flushes as soon as the peer's drain goroutine gets
-	// to the frame. Only meaningful with the scheduler on; control frames
-	// are never held back.
-	AggregationWindow time.Duration
 	// Hooks are optional instrumentation callbacks.
 	Hooks Hooks
 	// Now injects a clock for tests (default time.Now).
@@ -340,11 +325,12 @@ type Node struct {
 	// frame buffers (transport.FrameOwner), enabling zero-copy decode.
 	borrowDecode bool
 
-	// lanes is the optional prioritized send scheduler
-	// (on unless Config.DisableLaneScheduler); nil keeps every send synchronous on the
-	// calling goroutine. encPool recycles outbound frame encode buffers
-	// across sends (sound because of the transport Send ownership rule:
-	// buffers are only borrowed for the duration of a send).
+	// lanes is the send path: every outbound frame is a hand-off to its
+	// per-peer queues, so no caller — the transport's frame handler
+	// included — ever blocks on a peer's socket. encPool recycles
+	// outbound frame encode buffers across sends (sound because of the
+	// transport Send ownership rule: buffers are only borrowed for the
+	// duration of a send).
 	lanes   *lanes.Scheduler
 	encPool encodePool
 
@@ -512,12 +498,7 @@ func New(cfg Config, tr transport.Transport) (*Node, error) {
 		}
 	}
 	n.seq.Store(resume)
-	if !cfg.DisableLaneScheduler {
-		n.lanes = lanes.New(tr, lanes.Config{
-			QueueDepth: cfg.LaneQueueDepth,
-			Window:     cfg.AggregationWindow,
-		})
-	}
+	n.lanes = lanes.New(tr, lanes.Config{QueueDepth: cfg.LaneQueueDepth})
 	tr.SetHandler(n.handle)
 	return n, nil
 }
@@ -542,12 +523,10 @@ func (n *Node) Stop() {
 			<-n.done
 		}
 		n.closed.Store(true)
-		if n.lanes != nil {
-			// Drain, don't drop: queued control and data frames still flush
-			// onto the transport (which the caller owns and must close only
-			// after Stop returns) before Stop completes.
-			_ = n.lanes.Close()
-		}
+		// Drain, don't drop: queued control and data frames still flush
+		// onto the transport (which the caller owns and must close only
+		// after Stop returns) before Stop completes.
+		_ = n.lanes.Close()
 	})
 }
 
@@ -571,28 +550,18 @@ func (n *Node) Stats() Stats {
 	s := n.stats.snapshot()
 	s.EncodePoolHits = int(n.encPool.hits.Load())
 	s.EncodePoolMisses = int(n.encPool.misses.Load())
-	if n.lanes != nil {
-		ls := n.lanes.Stats()
-		s.LaneDrops = LaneDrops{
-			Control:   ls.Drops.Control,
-			Data:      ls.Drops.Data,
-			Telemetry: ls.Drops.Telemetry,
-		}
-		s.CoalescedFlushes = ls.CoalescedFlushes
-		s.CoalescedFrames = ls.CoalescedFrames
-	}
+	ls := n.lanes.Stats()
+	s.LaneDrops = LaneDrops{Control: ls.Drops.Control, Data: ls.Drops.Data}
+	s.CoalescedFlushes = ls.CoalescedFlushes
+	s.CoalescedFrames = ls.CoalescedFrames
 	return s
 }
 
 // WaitSendIdle blocks until the lane scheduler has flushed every queued
 // outbound frame, or the timeout elapses; it reports whether idle was
-// reached. Without the scheduler sends are synchronous and it returns
-// true immediately. Benchmarks and tests use it so throughput numbers
-// measure frames handed to the transport, not enqueue rate.
+// reached. Benchmarks and tests use it so throughput numbers measure
+// frames handed to the transport, not enqueue rate.
 func (n *Node) WaitSendIdle(timeout time.Duration) bool {
-	if n.lanes == nil {
-		return true
-	}
 	return n.lanes.WaitIdle(timeout)
 }
 
@@ -1255,8 +1224,14 @@ func (n *Node) applyMembership(kind wire.FrameKind, m *wire.Membership) bool {
 	old := n.Neighbors()
 	roster := make([]topology.NodeID, 0, len(old)+1)
 	for _, nb := range old {
-		if n.isDepartedIn(m, nb) || nb == m.Node {
-			continue // dropped (leaver, or re-announced joiner re-added below)
+		if n.isDepartedIn(m, nb) {
+			// Gone for good (IDs are never reused): retire its lane so
+			// the drain goroutine exits once the queue has flushed.
+			n.lanes.Forget(nb)
+			continue
+		}
+		if nb == m.Node {
+			continue // a re-announced joiner, re-added below
 		}
 		roster = append(roster, nb)
 	}

@@ -54,14 +54,8 @@ func buildCluster(t *testing.T, g *topology.Graph, fabric *transport.Fabric, cfg
 			if over.Piggyback {
 				c.Piggyback = true
 			}
-			if over.DisableLaneScheduler {
-				c.DisableLaneScheduler = true
-			}
 			if over.LaneQueueDepth != 0 {
 				c.LaneQueueDepth = over.LaneQueueDepth
-			}
-			if over.AggregationWindow != 0 {
-				c.AggregationWindow = over.AggregationWindow
 			}
 		}
 		nd, err := New(c, fabric.Endpoint(topology.NodeID(i)))
@@ -73,15 +67,24 @@ func buildCluster(t *testing.T, g *topology.Graph, fabric *transport.Fabric, cfg
 	return nodes
 }
 
-// tickAll advances every node one heartbeat period and lets the fabric
-// drain.
+// tickAll advances every node one heartbeat period and lets the lanes
+// and the fabric drain.
 func tickAll(nodes []*Node) {
 	for _, nd := range nodes {
 		nd.Tick()
 	}
+	waitSendIdle(nodes)
 	// The fabric delivers through per-endpoint goroutines; give them a
 	// moment to drain. Handler work is tiny, so this stays fast.
 	time.Sleep(2 * time.Millisecond)
+}
+
+// waitSendIdle waits until every node's lanes have handed their queued
+// frames to the transport.
+func waitSendIdle(nodes []*Node) {
+	for _, nd := range nodes {
+		nd.WaitSendIdle(5 * time.Second)
+	}
 }
 
 func drainDeliveries(nd *Node) []Delivery {

@@ -1,10 +1,12 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
+	"adaptivecast/internal/lanes"
 	"adaptivecast/internal/mrt"
 	"adaptivecast/internal/topology"
 	"adaptivecast/internal/transport"
@@ -135,16 +137,14 @@ func TestDeliveredWatermarkCompaction(t *testing.T) {
 }
 
 // TestBroadcastPartialFailureReturnsSeq pins the partial-failure
-// contract on the direct (scheduler-disabled) send path: when every
-// send fails after the broadcast was initiated (seq consumed, local
-// delivery queued), the caller gets the real seq with the error so a
-// half-sent broadcast can be deduped instead of retried blind. With the
-// default lane scheduler, sends are asynchronous hand-offs and such
-// failures surface through stats, not the Broadcast return.
+// contract: when every hand-off to the send path fails after the
+// broadcast was initiated (seq consumed, local delivery queued), the
+// caller gets the real seq with the error so a half-sent broadcast can
+// be deduped instead of retried blind. Closing the lane scheduler under
+// the (still running) node makes every Enqueue fail with
+// lanes.ErrClosed.
 func TestBroadcastPartialFailureReturnsSeq(t *testing.T) {
-	nodes, fabric := convergedLine3(t, func(i int) Config {
-		return Config{DisableLaneScheduler: true}
-	})
+	nodes, _ := convergedLine3(t, nil)
 	nd := nodes[0]
 
 	okSeq, _, err := nd.Broadcast([]byte("healthy"))
@@ -152,13 +152,13 @@ func TestBroadcastPartialFailureReturnsSeq(t *testing.T) {
 		t.Fatalf("healthy broadcast: seq %d, err %v", okSeq, err)
 	}
 
-	// Kill the transport out from under the (still running) node.
-	if err := fabric.Close(); err != nil {
+	// Kill the send path out from under the running node.
+	if err := nd.lanes.Close(); err != nil {
 		t.Fatal(err)
 	}
 	seq, planned, err := nd.Broadcast([]byte("doomed"))
-	if err == nil {
-		t.Fatal("broadcast over a closed transport must report the send failure")
+	if !errors.Is(err, lanes.ErrClosed) {
+		t.Fatalf("broadcast over a closed send path returned %v, want the lanes.ErrClosed hand-off failure", err)
 	}
 	if seq != okSeq+1 {
 		t.Errorf("failed broadcast seq = %d, want the consumed %d", seq, okSeq+1)

@@ -2,6 +2,8 @@ package node
 
 import (
 	"fmt"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -135,11 +137,11 @@ func TestPiggybackRelaySplices(t *testing.T) {
 	}
 }
 
-// TestAggregationWindowPreservesOrderAndSet: with the scheduler and a
-// coalescing window on, a burst of broadcasts reaches the peer as the
-// same delivery set, in per-origin order, and the stats prove frames
-// were actually coalesced into shared flushes.
-func TestAggregationWindowPreservesOrderAndSet(t *testing.T) {
+// TestLaneBurstPreservesOrderAndSet: a burst of broadcasts through the
+// lane scheduler — whose data frames may share multi-frame flushes —
+// reaches the peer as the same delivery set, in per-origin order, with
+// nothing shed.
+func TestLaneBurstPreservesOrderAndSet(t *testing.T) {
 	const msgs = 20
 	g, err := topology.Line(2)
 	if err != nil {
@@ -148,10 +150,7 @@ func TestAggregationWindowPreservesOrderAndSet(t *testing.T) {
 	fabric := transport.NewFabric(transport.FabricOptions{})
 	defer func() { _ = fabric.Close() }()
 	nodes := buildCluster(t, g, fabric, func(i int) Config {
-		return Config{
-			AggregationWindow: 5 * time.Millisecond,
-			DeliveryBuffer:    msgs + 4,
-		}
+		return Config{DeliveryBuffer: msgs + 4}
 	})
 	defer func() {
 		for _, nd := range nodes {
@@ -180,18 +179,13 @@ func TestAggregationWindowPreservesOrderAndSet(t *testing.T) {
 		}
 	}
 	s := nodes[0].Stats()
-	if s.CoalescedFlushes == 0 || s.CoalescedFrames < 2 {
-		t.Errorf("stats = %d coalesced flushes / %d frames; the window never coalesced anything",
-			s.CoalescedFlushes, s.CoalescedFrames)
-	}
 	if s.LaneDrops != (LaneDrops{}) {
 		t.Errorf("lane drops = %+v, want none at this depth", s.LaneDrops)
 	}
 }
 
-// TestLaneSchedulerClusterDelivers: a multi-hop cluster with the
-// scheduler on (no window) behaves like the direct path — every node
-// delivers every broadcast.
+// TestLaneSchedulerClusterDelivers: a multi-hop cluster delivers every
+// broadcast at every node through the lane scheduler.
 func TestLaneSchedulerClusterDelivers(t *testing.T) {
 	const msgs = 10
 	g, err := topology.Ring(4)
@@ -231,7 +225,7 @@ func TestLaneSchedulerClusterDelivers(t *testing.T) {
 			for i, nd := range nodes {
 				t.Logf("node %d delivered %d/%d", i, nd.Stats().Delivered, msgs)
 			}
-			t.Fatal("cluster did not deliver every broadcast with lanes on")
+			t.Fatal("cluster did not deliver every broadcast")
 		}
 		tickAll(nodes)
 	}
@@ -308,5 +302,126 @@ func TestJoinLandsDuringDataSaturation(t *testing.T) {
 		if nd.Stats().HeartbeatsReceived == 0 {
 			t.Errorf("node %d received no heartbeats", i)
 		}
+	}
+}
+
+// TestStuckTCPPeerDoesNotBlockSender pins why every send goes through
+// the lane scheduler. Over TCP a write to a peer that stops reading
+// blocks once the socket buffers fill (there is no write deadline), and
+// a node that wrote from its callers or from its frame handler would
+// block with it. Node 0 has two neighbors over loopback TCP: node 1, a
+// healthy node, and process 2, a listener that accepts and never reads.
+// Once the data toward 2 has filled the socket buffers, Tick and
+// Broadcast on node 0 must still return promptly, node 1 must keep
+// receiving heartbeats, and no control frame may be shed.
+func TestStuckTCPPeerDoesNotBlockSender(t *testing.T) {
+	stuck, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var heldMu sync.Mutex
+	var held []net.Conn
+	acceptDone := make(chan struct{})
+	go func() {
+		defer close(acceptDone)
+		for {
+			c, err := stuck.Accept()
+			if err != nil {
+				return
+			}
+			heldMu.Lock()
+			held = append(held, c)
+			heldMu.Unlock()
+		}
+	}()
+
+	healthyTr, err := transport.NewTCP(1, "127.0.0.1:0", nil, transport.TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	senderTr, err := transport.NewTCP(0, "127.0.0.1:0", map[topology.NodeID]string{
+		1: healthyTr.Addr().String(),
+		2: stuck.Addr().String(),
+	}, transport.TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthyTr.AddPeer(0, senderTr.Addr().String())
+	sender, err := New(Config{ID: 0, NumProcs: 3, Neighbors: []topology.NodeID{1, 2}, LaneQueueDepth: 16}, senderTr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy, err := New(Config{ID: 1, NumProcs: 3, Neighbors: []topology.NodeID{0}}, healthyTr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		// Closing the sender's transport first fails the write blocked on
+		// the stuck peer, so the sender's lanes can drain and stop.
+		_ = senderTr.Close()
+		sender.Stop()
+		healthy.Stop()
+		_ = healthyTr.Close()
+		_ = stuck.Close()
+		<-acceptDone
+		heldMu.Lock()
+		for _, c := range held {
+			_ = c.Close()
+		}
+		heldMu.Unlock()
+	}()
+
+	// within fails the test if f has not returned after d, instead of
+	// hanging the test binary on a blocked call.
+	within := func(what string, d time.Duration, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); f() }()
+		select {
+		case <-done:
+		case <-time.After(d):
+			t.Fatalf("%s blocked for more than %v behind the stuck peer", what, d)
+		}
+	}
+
+	// Push data until the stuck peer's drain is wedged in a write: its
+	// queue has filled and shed, and the lanes can no longer go idle.
+	body := make([]byte, 64<<10)
+	wedged, pushed := false, 0
+	for ; pushed < 2000 && !wedged; pushed++ {
+		within("Broadcast", 5*time.Second, func() {
+			if _, _, err := sender.Broadcast(body); err != nil {
+				t.Error(err)
+			}
+		})
+		if pushed%16 == 15 && sender.Stats().LaneDrops.Data > 0 {
+			wedged = !sender.WaitSendIdle(200 * time.Millisecond)
+		}
+	}
+	if !wedged {
+		t.Fatal("the writes toward the non-reading peer never blocked; the test proved nothing")
+	}
+	t.Logf("the stuck peer's drain wedged after %d broadcasts of %d KiB (%d data frames shed)",
+		pushed, len(body)>>10, sender.Stats().LaneDrops.Data)
+
+	hbBefore := healthy.Stats().HeartbeatsReceived
+	for p := 0; p < 5; p++ {
+		within("Tick", 2*time.Second, sender.Tick)
+		within("Broadcast", 2*time.Second, func() {
+			if _, _, err := sender.Broadcast([]byte("still moving")); err != nil {
+				t.Error(err)
+			}
+		})
+		healthy.Tick()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for healthy.Stats().HeartbeatsReceived <= hbBefore {
+		if time.Now().After(deadline) {
+			t.Fatalf("healthy peer received no heartbeat after the other peer got stuck (still %d)", hbBefore)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if d := sender.Stats().LaneDrops; d.Control != 0 {
+		t.Errorf("sender shed %d control frames; the control lane must never shed", d.Control)
 	}
 }

@@ -1,6 +1,7 @@
 package adaptivecast_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -232,5 +233,44 @@ func TestClusterAddNodeValidation(t *testing.T) {
 	}
 	if _, err := c.AddNode(1); err == nil {
 		t.Error("joiner linked to departed member should fail")
+	}
+}
+
+// TestClusterJoinLeaveReleasesGoroutines runs join/leave cycles on a
+// ring and checks that each cycle gives back every goroutine it started:
+// the leaver's fabric receive loop, its own lane drains, and the drains
+// its neighbors opened toward it.
+func TestClusterJoinLeaveReleasesGoroutines(t *testing.T) {
+	c := testCluster(t, 6)
+	tickCluster(c, 5) // every ring edge has carried traffic both ways
+	settle := func() {
+		for id := adaptivecast.NodeID(0); int(id) < c.NumNodes(); id++ {
+			c.Node(id).WaitSendIdle(5 * time.Second)
+		}
+	}
+	settle()
+	baseline := runtime.NumGoroutine()
+
+	for cycle := 0; cycle < 3; cycle++ {
+		a, b := adaptivecast.NodeID(cycle), adaptivecast.NodeID(cycle+2)
+		id, err := c.AddNode(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickCluster(c, 3) // the joiner and its neighbors exchange heartbeats
+		if err := c.RemoveNode(id); err != nil {
+			t.Fatal(err)
+		}
+		tickCluster(c, 3) // the leave reaches every member
+		settle()
+		deadline := time.Now().Add(5 * time.Second)
+		got := runtime.NumGoroutine()
+		for got > baseline && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+			got = runtime.NumGoroutine()
+		}
+		if got > baseline {
+			t.Fatalf("after join/leave cycle %d: %d goroutines, baseline %d", cycle+1, got, baseline)
+		}
 	}
 }

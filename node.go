@@ -268,12 +268,11 @@ func (n *Node) BroadcastCtx(ctx context.Context, body []byte) (Receipt, error) {
 // Stats returns a snapshot of the node's protocol counters.
 func (n *Node) Stats() NodeStats { return n.inner.Stats() }
 
-// WaitSendIdle blocks until the lane scheduler (on by default; see
-// WithLaneScheduler) has flushed every queued outbound frame, or the
-// timeout elapses; it reports whether idle was reached. With the
-// scheduler disabled, sends are synchronous and it returns true
-// immediately. Benchmarks and shutdown sequences use it to distinguish
-// "handed to the transport" from "queued".
+// WaitSendIdle blocks until the lane scheduler has flushed every queued
+// outbound frame, or the timeout elapses; it reports whether idle was
+// reached. Sends are asynchronous hand-offs to per-peer queues (see
+// WithLaneQueueDepth); benchmarks and shutdown sequences use it to
+// distinguish "handed to the transport" from "queued".
 func (n *Node) WaitSendIdle(timeout time.Duration) bool { return n.inner.WaitSendIdle(timeout) }
 
 // Epoch returns the membership epoch the node currently operates in: 0

@@ -140,44 +140,17 @@ func WithAdaptiveCadence(max time.Duration) Option {
 	return func(c *nodeConfig) { c.adaptiveCadence = max }
 }
 
-// WithLaneScheduler enables or disables the per-peer prioritized lane
-// scheduler (control > data > telemetry). It is ON by default: sends
-// are asynchronous hand-offs to bounded per-peer queues,
-// protocol-critical control frames (heartbeats, knowledge deltas,
-// membership changes) are never shed and overtake queued data, and each
-// peer's data drains in coalesced batches through the transport's
-// multi-frame fast path. This is the high-throughput datapath: under
-// broadcast saturation it keeps the knowledge plane's control traffic
-// flowing at its usual latency while data throughput rises with
-// batching. WithLaneScheduler(false) opts out and reverts every send to
-// a synchronous transport call on the calling goroutine — the
-// pre-scheduler behavior, for deterministic drivers or callers that
-// need per-call send errors to surface inline. Scheduler behavior is
-// observable via NodeStats.LaneDrops / CoalescedFlushes.
-func WithLaneScheduler(enabled bool) Option {
-	return func(c *nodeConfig) { c.inner.DisableLaneScheduler = !enabled }
-}
-
-// WithLaneQueueDepth bounds each peer's data lane when the lane
-// scheduler is on (default 256 frames). At the high watermark new data
-// frames are shed — counted in NodeStats.LaneDrops — which is the
-// backpressure policy: shedding data protects the control plane, and
-// the protocol's redundancy math already tolerates lost data copies.
-// The control lane is never bounded.
+// WithLaneQueueDepth bounds each peer's data lane (default 256 frames).
+// Every send is an asynchronous hand-off to a per-peer lane scheduler:
+// control frames (heartbeats, knowledge deltas, membership changes)
+// ride an unbounded lane that is never shed and flushes first; data
+// frames ride a bounded lane and coalesce into multi-frame flushes when
+// they queue up. At the high watermark new data frames are shed —
+// counted in NodeStats.LaneDrops — which is the backpressure policy:
+// shedding data protects the control plane, and the protocol's
+// redundancy math already tolerates lost data copies.
 func WithLaneQueueDepth(depth int) Option {
 	return func(c *nodeConfig) { c.inner.LaneQueueDepth = depth }
-}
-
-// WithAggregationWindow holds queued data frames back up to w so that
-// several broadcasts headed to the same peer coalesce into one
-// transport flush (one syscall on TCP, one lock acquisition on the
-// in-process fabric, however many frames the flush carries). 0 — the
-// default — flushes as soon as the peer's drain goroutine reaches the
-// frame; the window only applies with the lane scheduler on, and control
-// frames are never held back. Coalescing effectiveness is observable
-// via NodeStats.CoalescedFlushes / CoalescedFrames.
-func WithAggregationWindow(w time.Duration) Option {
-	return func(c *nodeConfig) { c.inner.AggregationWindow = w }
 }
 
 // WithDeliveryBuffer sizes the delivery buffer (default 128). When the
